@@ -12,7 +12,8 @@ Subcommands:
 
 Machine output is always JSON; the human-readable table is derived from
 it.  Exit status: 0 on success, 1 on verification failure, 2 on usage
-errors.
+errors.  A check the kernel refuses (NearZeroThetanull, TruncationError)
+gets status "error", and the campaign goes on with the other checks.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ import numpy as np
 
 from . import __version__, exactpoly, fourier, halphen
 from .characteristics import Characteristic, digit_decode, gopel_systems
-from .identities import DEFAULT_TOL, REGISTRY, SamplePlan, checks_for_genus, run_check
+from .identities import DEFAULT_TOL, REGISTRY, IdentityCheck, SamplePlan
+from .identities import checks_for_genus, run_check
 from .siegel import SiegelPoint
-from .theta import DEFAULT_EPS, theta_jet
+from .theta import DEFAULT_EPS, NearZeroThetanull, TruncationError, theta_jet
 
 __all__ = ["main", "RunConfig", "CampaignReport"]
 
@@ -102,7 +104,11 @@ def _pool_run(args):
     name, genus, plan_json, eps, tol = args
     plan = SamplePlan(**plan_json)
     t0 = time.perf_counter()
-    check = run_check(name, genus, plan, eps, tol)
+    try:
+        check = run_check(name, genus, plan, eps, tol)
+    except (NearZeroThetanull, TruncationError) as exc:
+        check = IdentityCheck(name, genus, plan.count, plan.seed, tol, status="error",
+                              witness=str(exc), notes={"exception": type(exc).__name__})
     return name, check, time.perf_counter() - t0
 
 

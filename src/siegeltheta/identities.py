@@ -31,10 +31,9 @@ from .characteristics import (
 from .siegel import SiegelPoint, act, cocycle_factor, random_gamma_48
 from .theta import (
     DEFAULT_EPS,
-    NearZeroThetanull,
     QuarticForm,
-    SymmetricForm,
     _delta_psi_from_moments,
+    _psi_from_moments,
     batch_moments,
     theta_values,
 )
@@ -184,7 +183,12 @@ class _Residuals:
         self.witness = ""
 
     def add(self, abs_res: float, scale: float, witness: str):
-        rel = abs_res / scale if scale > 0 else (0.0 if abs_res == 0 else math.inf)
+        if not (math.isfinite(abs_res) and math.isfinite(scale)):
+            rel = math.inf  # a NaN or infinite residual or scale fails the check
+        elif scale > 0:
+            rel = abs_res / scale
+        else:
+            rel = 0.0 if abs_res == 0 else math.inf
         if abs_res > self.max_abs:
             self.max_abs = abs_res
         if rel > self.max_rel:
@@ -215,14 +219,7 @@ class _EvenData:
         self.evens = enumerate_characteristics(tau.genus, "even")
         self.moments = batch_moments(self.evens, tau, eps, order=order)
         self.value = {a: m.value for a, m in self.moments.items()}
-        for a, m in self.moments.items():
-            if abs(m.value) <= 1e3 * m.tail_bound:
-                raise NearZeroThetanull(
-                    f"thetanull {a.label()} too close to zero at this point"
-                )
-        self.psi = {
-            a: SymmetricForm(tau.genus, m.t2 / m.value) for a, m in self.moments.items()
-        }
+        self.psi = {a: _psi_from_moments(a, m) for a, m in self.moments.items()}
         if order >= 4:
             self.delta_psi = {a: _delta_psi_from_moments(m) for a, m in self.moments.items()}
 
@@ -231,16 +228,11 @@ class _EvenData:
 
 
 def _psi_by_label(tau: SiegelPoint, labels, eps: float):
-    """Values and psi matrices for selected genus-2 characteristics only
-    (usable at special points where other thetanulls vanish)."""
+    """Psi matrices for selected genus-2 characteristics only (usable at
+    special points where other thetanulls vanish)."""
     chars = [digit_decode(lbl) for lbl in labels]
     moms = batch_moments(chars, tau, eps, order=2)
-    values = {lbl: moms[c].value for lbl, c in zip(labels, chars)}
-    psis = {
-        lbl: SymmetricForm(tau.genus, moms[c].t2 / moms[c].value)
-        for lbl, c in zip(labels, chars)
-    }
-    return values, psis
+    return {lbl: _psi_from_moments(c, moms[c]) for lbl, c in zip(labels, chars)}
 
 
 def _quartic_scale(*forms: QuarticForm) -> float:
@@ -280,9 +272,8 @@ def check_riemann_quartic(
         dtype=np.float64,
     )
     for k, (tau, z) in enumerate(plan.tau_z_points(genus)):
-        v0 = np.array([theta_values(allc, None, tau, eps)[a] for a in allc])
-        vz = np.array([theta_values(allc, z, tau, eps)[a] for a in allc])
-        v2z = np.array([theta_values(allc, 2 * z, tau, eps)[a] for a in allc])
+        values = [theta_values(allc, w, tau, eps) for w in (None, z, 2 * z)]
+        v0, vz, v2z = (np.array([v[a] for a in allc]) for v in values)
         for ic in range(n):
             add_c = add_table[:, ic]
             w = v2z[add_c] * v0[add_c] * v0**2  # indexed by b
@@ -554,10 +545,7 @@ def check_weight2_diagonal(
     for k, t0 in enumerate(samples):
         tau = SiegelPoint(genus, t0 * np.eye(genus))
         moms = batch_moments([a, b], tau, eps, order=2)
-        eta = (
-            SymmetricForm(genus, moms[b].t2 / moms[b].value)
-            - SymmetricForm(genus, moms[a].t2 / moms[a].value)
-        ).det()
+        eta = (_psi_from_moments(b, moms[b]) - _psi_from_moments(a, moms[a])).det()
         d = genus1_data(t0, eps)
         diff = d["psi_10"] - d["psi_00"]
         res.add(abs(eta - diff**genus), max(abs(eta), abs(diff) ** genus),
@@ -994,7 +982,7 @@ def check_phi_leading(
     scalars = [1j] + plan.scalar_taus()[:5]
     for k, t0 in enumerate(scalars):
         tau = SiegelPoint(2, t0 * np.eye(2))
-        _, psis = _psi_by_label(tau, ("00", "01", "02"), eps)
+        psis = _psi_by_label(tau, ("00", "01", "02"), eps)
         e1 = (psis["00"] - psis["01"]).det()
         e2 = (psis["00"] - psis["02"]).det()
         e3 = (psis["01"] - psis["02"]).det()
@@ -1017,7 +1005,6 @@ def check_phi_leading(
 class CheckSpec:
     runner: object
     genera: tuple[int, ...]
-    needs_part: bool = False
 
 
 def _run_odd_gradient_squared(genus, plan, eps, tol):

@@ -27,18 +27,31 @@ delta(psi_a) has coefficients
 
 computed from fourth-order z-derivative data, never by tau differencing.
 
+One engine, _coset_sums, does every lattice sum: for the characteristics
+of one a' coset it returns the exactly rounded sums of m_j ... m_p term(m)
+for the monomials (), (j,), (j, l), (j, l, m, p) a caller asks for.
+theta_jet, theta_values and batch_moments choose only the monomials and
+the radius.  Every radius comes from truncation_radius, as the maximum
+over the weights a caller needs (eps, eps/2pi, eps/(2pi)^2 for a jet's
+value, gradient and Hessian; eps for each moment weight).  A radius whose
+box (2N+1)^g exceeds 2^20 points raises TruncationError before any
+allocation.
+
 Summation runs in a fixed lexicographic order with exactly rounded
 (Shewchuk) accumulation, so results are reproducible bitwise and the
 parity cancellations are exact: odd characteristics give value and
-Hessian exactly 0 at z = 0, even ones give gradient exactly 0.
+Hessian exactly 0 at z = 0, even ones give gradient exactly 0.  psi_a is
+formed only by _psi_from_moments, which refuses a thetanull within 10^3
+of its certified tail bound.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import fsum
 
 import numpy as np
@@ -69,6 +82,8 @@ __all__ = [
 DEFAULT_EPS = 1e-14
 
 _MAX_RADIUS = 400
+#: largest box (2N+1)^g: 8 MB per float row; campaign boxes reach ~2 * 10^4
+_MAX_BOX_POINTS = 2**20
 
 _PHASES = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
@@ -161,6 +176,7 @@ def truncation_radius(
     |n_j + a'_j/2| <= N; weight 0 is the plain value.  Without an
     explicit characteristic the bound dominates every parity pattern of
     a'; with one it uses the exact per-axis parities (slightly tighter).
+    A box of more than _MAX_BOX_POINTS points raises TruncationError.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -170,6 +186,9 @@ def truncation_radius(
     r = _imag_norm(z, tau.genus)
     shifts = ("any",) * tau.genus if a is None else a.a_prime
     for nrad in range(1, _MAX_RADIUS + 1):
+        if (2 * nrad + 1) ** tau.genus > _MAX_BOX_POINTS:
+            raise TruncationError(f"eps={eps:g} needs more than {_MAX_BOX_POINTS} "
+                                  f"lattice points (lambda_min={lam:g})")
         bound = _box_tail(lam, r, shifts, nrad, weight)
         if bound <= eps:
             return TruncationResult(nrad, bound)
@@ -185,12 +204,11 @@ def _imag_norm(z, genus: int) -> float:
     return float(np.linalg.norm(zz.imag))
 
 
-def _radius_for(a_prime, lam: float, r: float, eps: float, weight: int) -> tuple[int, float]:
-    for nrad in range(1, _MAX_RADIUS + 1):
-        bound = _box_tail(lam, r, a_prime, nrad, weight)
-        if bound <= eps:
-            return nrad, bound
-    raise TruncationError(f"no radius up to {_MAX_RADIUS} certifies eps={eps:g}")
+def _box_radius(tau: SiegelPoint, z, a: Characteristic, eps_by_weight) -> TruncationResult:
+    """Radius certifying each weight w to eps_by_weight[w], with the value's bound."""
+    nrad = max(truncation_radius(tau, z, e, w, a).radius for w, e in enumerate(eps_by_weight))
+    r = _imag_norm(z, tau.genus)
+    return TruncationResult(nrad, _box_tail(tau.lambda_min, r, a.a_prime, nrad, 0))
 
 
 # ----------------------------------------------------------------------
@@ -234,6 +252,25 @@ def _phase_factors(two_m: np.ndarray, a_double_prime) -> np.ndarray:
     """i^((2m).a'' mod 4); exactly one of {1, i, -1, -i} per point."""
     p = (two_m @ np.asarray(a_double_prime, dtype=np.int64)) % 4
     return _PHASES[p]
+
+
+def _coset_sums(
+    coset, z, tau: SiegelPoint, nrad: int, monomials
+) -> dict[Characteristic, dict[tuple, complex]]:
+    """{a: {monomial: sum of m_j ... m_p term(m) over the box}} for one a'
+    coset.  A weight row is the product of its m columns, left to right;
+    the lattice, weights and exponentials are shared by the coset."""
+    two_m = _lattice_two_m(coset[0].a_prime, nrad)
+    m = two_m.astype(np.float64) / 2.0
+    weights = {
+        mono: reduce(operator.mul, [m[:, i] for i in mono]) for mono in monomials if mono
+    }
+    base = _exp_terms(two_m, tau.tau, z)
+    out = {}
+    for a in coset:
+        t = base * _phase_factors(two_m, a.a_double_prime)
+        out[a] = {mono: _csum(weights[mono] * t if mono else t) for mono in monomials}
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -281,6 +318,15 @@ def _check_char(a: Characteristic, tau: SiegelPoint):
         raise ValueError("characteristic and point have different genus")
 
 
+def _cosets(chars, tau: SiegelPoint) -> list[list[Characteristic]]:
+    """chars grouped by a', in order of first appearance."""
+    groups: dict[tuple, list[Characteristic]] = {}
+    for a in chars:
+        _check_char(a, tau)
+        groups.setdefault(a.a_prime, []).append(a)
+    return list(groups.values())
+
+
 def theta_jet(a: Characteristic, z, tau: SiegelPoint, eps: float = DEFAULT_EPS) -> ThetaJet:
     """Evaluate theta_a and its z-derivatives to order 2 at (z, tau).
 
@@ -289,31 +335,17 @@ def theta_jet(a: Characteristic, z, tau: SiegelPoint, eps: float = DEFAULT_EPS) 
     certified bound on the value itself.
     """
     _check_char(a, tau)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     g = tau.genus
-    lam = tau.lambda_min
-    r = _imag_norm(z, g)
     two_pi = 2.0 * math.pi
-    n0, bound0 = _radius_for(a.a_prime, lam, r, eps, 0)
-    n1, _ = _radius_for(a.a_prime, lam, r, eps / two_pi, 1)
-    n2, _ = _radius_for(a.a_prime, lam, r, eps / two_pi**2, 2)
-    nrad = max(n0, n1, n2)
-    bound0 = _box_tail(lam, r, a.a_prime, nrad, 0)
-
-    two_m = _lattice_two_m(a.a_prime, nrad)
-    m = two_m.astype(np.float64) / 2.0
-    t = _exp_terms(two_m, tau.tau, z) * _phase_factors(two_m, a.a_double_prime)
-
-    value = _csum(t)
-    grad = np.empty(g, dtype=complex)
+    box = _box_radius(tau, z, a, (eps, eps / two_pi, eps / two_pi**2))
+    pairs = list(itertools.combinations_with_replacement(range(g), 2))
+    monomials = [(), *((j,) for j in range(g)), *pairs]
+    sums = _coset_sums([a], z, tau, box.radius, monomials)[a]
+    grad = np.array([2j * math.pi * sums[(j,)] for j in range(g)])
     hess = np.empty((g, g), dtype=complex)
-    for j in range(g):
-        grad[j] = 2j * math.pi * _csum(m[:, j] * t)
-    for j in range(g):
-        for l in range(j, g):
-            hess[j, l] = hess[l, j] = (2j * math.pi) ** 2 * _csum(m[:, j] * m[:, l] * t)
-    return ThetaJet(value, grad, hess, bound0)
+    for j, l in pairs:
+        hess[j, l] = hess[l, j] = (2j * math.pi) ** 2 * sums[(j, l)]
+    return ThetaJet(sums[()], grad, hess, box.bound)
 
 
 def theta_values(
@@ -324,21 +356,11 @@ def theta_values(
     Characteristics sharing the same a' reuse one lattice/exponential
     pass; only the exact phase factors differ.
     """
-    chars = list(chars)
-    for a in chars:
-        _check_char(a, tau)
-    lam = tau.lambda_min
-    r = _imag_norm(z, tau.genus)
     out: dict[Characteristic, complex] = {}
-    by_coset: dict[tuple, list[Characteristic]] = {}
-    for a in chars:
-        by_coset.setdefault(a.a_prime, []).append(a)
-    for a_prime, group in by_coset.items():
-        nrad, _ = _radius_for(a_prime, lam, r, eps, 0)
-        two_m = _lattice_two_m(a_prime, nrad)
-        base = _exp_terms(two_m, tau.tau, z)
-        for a in group:
-            out[a] = _csum(base * _phase_factors(two_m, a.a_double_prime))
+    for coset in _cosets(chars, tau):
+        nrad = truncation_radius(tau, z, eps, 0, coset[0]).radius
+        for a, sums in _coset_sums(coset, z, tau, nrad, [()]).items():
+            out[a] = sums[()]
     return out
 
 
@@ -355,48 +377,26 @@ def batch_moments(
     """Batch z = 0 moments, sharing lattice passes within each a' coset."""
     if order not in (1, 2, 4):
         raise ValueError("order must be 1, 2 or 4")
-    chars = list(chars)
-    for a in chars:
-        _check_char(a, tau)
     g = tau.genus
-    lam = tau.lambda_min
+    monomials = [()] + [
+        mono
+        for k in (1, 2, 4)
+        if k <= order
+        for mono in itertools.combinations_with_replacement(range(g), k)
+    ]
     out: dict[Characteristic, Moments] = {}
-    by_coset: dict[tuple, list[Characteristic]] = {}
-    for a in chars:
-        by_coset.setdefault(a.a_prime, []).append(a)
-    quads = list(itertools.combinations_with_replacement(range(g), 4))
-    for a_prime, group in by_coset.items():
-        nrad, bound0 = _radius_for(a_prime, lam, 0.0, eps, 0)
-        for w in range(1, order + 1):
-            nw, _ = _radius_for(a_prime, lam, 0.0, eps, w)
-            nrad = max(nrad, nw)
-        bound0 = _box_tail(lam, 0.0, a_prime, nrad, 0)
-        two_m = _lattice_two_m(a_prime, nrad)
-        m = two_m.astype(np.float64) / 2.0
-        base = _exp_terms(two_m, tau.tau, None)
-        w2 = {}
-        w4 = {}
-        if order >= 2:
-            for j in range(g):
-                for l in range(j, g):
-                    w2[(j, l)] = m[:, j] * m[:, l]
-        if order >= 4:
-            for key in quads:
-                j, l, mm, p = key
-                w4[key] = m[:, j] * m[:, l] * m[:, mm] * m[:, p]
-        for a in group:
-            t = base * _phase_factors(two_m, a.a_double_prime)
-            value = _csum(t)
-            t1 = np.array([_csum(m[:, j] * t) for j in range(g)])
+    for coset in _cosets(chars, tau):
+        box = _box_radius(tau, None, coset[0], (eps,) * (order + 1))
+        for a, sums in _coset_sums(coset, None, tau, box.radius, monomials).items():
+            t1 = np.array([sums[(j,)] for j in range(g)])
             t2 = np.zeros((g, g), dtype=complex)
             t4 = {}
-            if order >= 2:
-                for (j, l), w in w2.items():
-                    t2[j, l] = t2[l, j] = _csum(w * t)
-            if order >= 4:
-                for key, w in w4.items():
-                    t4[key] = _csum(w * t)
-            out[a] = Moments(value, t1, t2, t4, bound0, nrad)
+            for key, s in sums.items():
+                if len(key) == 2:
+                    t2[key] = t2[key[::-1]] = s
+                elif len(key) == 4:
+                    t4[key] = s
+            out[a] = Moments(sums[()], t1, t2, t4, box.bound, box.radius)
     return out
 
 
@@ -526,11 +526,13 @@ def delta_theta(
     return complex(mom.t2[idx.j - 1, idx.l - 1])
 
 
-def _psi_from_moments(mom: Moments) -> SymmetricForm:
+def _psi_from_moments(a: Characteristic, mom: Moments) -> SymmetricForm:
+    """psi_a = t2 / theta_a from the moments of a; raises NearZeroThetanull
+    when theta_a lies within 10^3 of its certified tail bound."""
     if abs(mom.value) <= 1e3 * mom.tail_bound:
         raise NearZeroThetanull(
-            f"|theta| = {abs(mom.value):.3g} is within 10^3 of the certified "
-            f"tail bound {mom.tail_bound:.3g}"
+            f"thetanull {a.label()}: |theta| = {abs(mom.value):.3g} is within 10^3 "
+            f"of the certified tail bound {mom.tail_bound:.3g}"
         )
     return SymmetricForm(mom.t2.shape[0], mom.t2 / mom.value)
 
@@ -539,7 +541,7 @@ def psi_matrix(a: Characteristic, tau: SiegelPoint, eps: float = DEFAULT_EPS) ->
     """The symmetric matrix psi_a with entries delta_jl theta_a / theta_a."""
     if not a.is_even:
         raise ValueError("psi_matrix is defined for even characteristics")
-    return _psi_from_moments(theta_moments(a, tau, eps, order=2))
+    return _psi_from_moments(a, theta_moments(a, tau, eps, order=2))
 
 
 def odd_z_gradient(a: Characteristic, tau: SiegelPoint, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -573,6 +575,5 @@ def quartic_delta_psi(a: Characteristic, tau: SiegelPoint, eps: float = DEFAULT_
     if not a.is_even:
         raise ValueError("quartic_delta_psi is defined for even characteristics")
     mom = theta_moments(a, tau, eps, order=4)
-    if abs(mom.value) <= 1e3 * mom.tail_bound:
-        raise NearZeroThetanull("thetanull too close to zero")
+    _psi_from_moments(a, mom)  # the near-zero guard
     return _delta_psi_from_moments(mom)

@@ -1,11 +1,17 @@
 import json
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import siegeltheta
+from siegeltheta import cli, identities
 from siegeltheta.cli import RunConfig, build_parser, main
-from siegeltheta.identities import REGISTRY
+from siegeltheta.identities import REGISTRY, CheckSpec
+from siegeltheta.siegel import SiegelPoint
+from siegeltheta.theta import truncation_radius
 
 
 def run_main(capsys, *argv):
@@ -88,6 +94,42 @@ def test_verify_failure_exit_one(capsys):
     )
     assert code == 1
     assert "fail" in out
+
+
+def test_kernel_refusal_is_a_check_error_not_the_end_of_the_campaign(
+    capsys, monkeypatch, tmp_path
+):
+    def near_divisor(genus, plan, eps, tol):
+        # thetanull 33 vanishes at every diagonal genus-2 point
+        identities._EvenData(SiegelPoint(2, np.diag([0.3 + 1.1j, -0.2 + 0.9j])), eps)
+
+    def over_budget(genus, plan, eps, tol):
+        truncation_radius(SiegelPoint(3, 1e-3j * np.eye(3)), None, eps, weight=4)
+
+    registry = {
+        "near_divisor": CheckSpec(near_divisor, (2,)),
+        "over_budget": CheckSpec(over_budget, (2,)),
+        "genus2_quartic": REGISTRY["genus2_quartic"],
+    }
+    monkeypatch.setattr(identities, "REGISTRY", registry)
+    monkeypatch.setattr(cli, "REGISTRY", registry)
+    out_path = tmp_path / "report.json"
+    code, out, err = run_main(
+        capsys, "verify", "all", "--genus", "2", "--samples", "1", "--json", str(out_path)
+    )
+    assert code == 1
+    assert "Traceback" not in err
+    payload = json.loads(out_path.read_text())
+    assert payload["overall"] == "fail"
+    near, budget, quartic = payload["checks"]
+    assert near["status"] == "error"
+    assert near["notes"] == {"exception": "NearZeroThetanull"}
+    assert "thetanull 33" in near["witness"]
+    assert budget["status"] == "error"
+    assert budget["notes"] == {"exception": "TruncationError"}
+    assert "lattice points" in budget["witness"]
+    assert quartic["status"] == "pass"
+    assert "near_divisor" in out and "error" in out
 
 
 def test_verify_report_byte_identical_modulo_timing(capsys, tmp_path):
@@ -176,11 +218,15 @@ def test_registry_names_usable_from_parser():
 
 
 def test_module_entrypoint_subprocess():
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(siegeltheta.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "siegeltheta", "gopel"],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 15

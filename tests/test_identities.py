@@ -190,3 +190,16 @@ def test_identity_check_json_roundtrip():
     import json
 
     json.dumps(payload)  # JSON-serializable end to end
+
+
+def test_nonfinite_residual_or_scale_fails_check():
+    from siegeltheta.identities import _Residuals
+
+    for bad_res, bad_scale in ((float("nan"), 1), (float("inf"), 1), (1e-16, float("nan"))):
+        r = _Residuals()
+        r.add(1e-16, 1, "ok")
+        r.add(bad_res, bad_scale, "x")
+        r.add(1e-15, 1, "later")
+        check = r.finish(IdentityCheck("probe", 2, 1, 0, 1e-9))
+        assert check.status == "fail"
+        assert check.witness == "x"

@@ -10,6 +10,7 @@ from siegeltheta.characteristics import Characteristic, enumerate_characteristic
 from siegeltheta.siegel import DerivationIndex, SiegelPoint
 from siegeltheta.theta import (
     NearZeroThetanull,
+    TruncationError,
     batch_moments,
     delta_theta,
     odd_z_gradient,
@@ -94,6 +95,19 @@ def test_truncation_bound_dominates_true_tail_100_samples():
 def test_truncation_radius_rejects_bad_eps():
     with pytest.raises(ValueError):
         truncation_radius(TAU_I, None, 0.0)
+
+
+def test_truncation_radius_refuses_box_beyond_point_budget():
+    # radius arithmetic only: no lattice is allocated.  Without the budget
+    # this genus-3 point needs radius 186, a box of 5.2e7 points.
+    zero3 = Characteristic(3, (0, 0, 0), (0, 0, 0))
+    with pytest.raises(TruncationError, match="lattice points"):
+        truncation_radius(SiegelPoint(3, 1e-3j * np.eye(3)), None, 1e-14, weight=4, a=zero3)
+    # the budget counts points, not radius: the same depth at genus 2
+    # needs radius 179, a box of 359^2 points, and is accepted
+    zero2 = Characteristic(2, (0, 0), (0, 0))
+    res = truncation_radius(SiegelPoint(2, 1e-3j * np.eye(2)), None, 1e-14, weight=4, a=zero2)
+    assert res.radius == 179 and res.bound <= 1e-14
 
 
 # ----------------------------------------------------------------------
