@@ -37,9 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import theta
 from .characteristics import Characteristic
 from .siegel import SiegelPoint
-from .theta import DEFAULT_EPS, theta_moments
+from .theta import DEFAULT_EPS
 
 __all__ = [
     "HalphenState",
@@ -85,13 +86,16 @@ def halphen_rhs(state: HalphenState) -> tuple[complex, complex, complex]:
 
 
 def genus1_data(tau: complex, eps: float = DEFAULT_EPS) -> dict:
-    """Thetanulls and psi values at a genus-1 point."""
+    """Thetanulls and psi values at a genus-1 point; raises
+    NearZeroThetanull where a thetanull is too small to divide by."""
     pt = SiegelPoint(1, np.array([[tau]], dtype=complex))
+    # through the module attribute, so a wrapper on theta.batch_moments
+    # (tracing, counting) also sees these calls
+    moms = theta.batch_moments((_C00, _C01, _C10), pt, eps, order=2)
     out = {}
     for name, ch in (("00", _C00), ("01", _C01), ("10", _C10)):
-        mom = theta_moments(ch, pt, eps, order=2)
-        out["theta_" + name] = mom.value
-        out["psi_" + name] = complex(mom.t2[0, 0] / mom.value)
+        out["theta_" + name] = moms[ch].value
+        out["psi_" + name] = complex(theta._psi_from_moments(ch, moms[ch])[0, 0])
     return out
 
 

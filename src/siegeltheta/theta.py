@@ -456,10 +456,6 @@ class QuarticForm:
         self.coeffs = dict(coeffs or {})
 
     @staticmethod
-    def keys_for_genus(genus: int):
-        return list(itertools.combinations_with_replacement(range(genus), 4))
-
-    @staticmethod
     def from_quadratic_product(phi: SymmetricForm, eta: SymmetricForm) -> "QuarticForm":
         """The quartic form phi(u) * eta(u)."""
         g = phi.genus

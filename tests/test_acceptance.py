@@ -183,7 +183,7 @@ def test_criterion_07_formal_identities():
 
 def test_criterion_08_transformation_laws():
     t0 = time.perf_counter()
-    check = check_transformation_laws(2, SamplePlan(seed=7, count=5), gamma_count=10)
+    check = check_transformation_laws(2, SamplePlan(seed=7, count=5))
     assert check.status == "pass", check.witness
     assert check.max_rel_residual < 1e-8
     elapsed = time.perf_counter() - t0

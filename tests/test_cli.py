@@ -154,6 +154,22 @@ def test_verify_report_byte_identical_modulo_timing(capsys, tmp_path):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_table_shows_effective_tolerance(capsys, tmp_path):
+    out_path = tmp_path / "r.json"
+    code, out, _ = run_main(
+        capsys, "verify", "heat_equation", "--genus", "1", "--samples", "1",
+        "--tol", "1e-12", "--json", str(out_path),
+    )
+    assert code == 0
+    header, row = out.splitlines()[:2]
+    assert header.split()[:5] == ["check", "genus", "max", "rel", "tol"]
+    assert row.split()[0] == "heat_equation"
+    assert row.split()[3] == "1e-08"
+    payload = json.loads(out_path.read_text())
+    assert payload["config"]["tol"] == 1e-12
+    assert payload["checks"][0]["tolerance"] == 1e-8
+
+
 def test_report_rendering(capsys, tmp_path):
     out_path = tmp_path / "r.json"
     run_main(capsys, "verify", "genus2_quadratic", "--samples", "1", "--json", str(out_path))
@@ -205,6 +221,8 @@ def test_runconfig_validation():
         RunConfig(samples=0)
     with pytest.raises(KeyError):
         RunConfig(identities=["nope"])
+    with pytest.raises(ValueError, match="does not apply at genus 3"):
+        RunConfig(genus=3, identities=["gopel_quartet"])
     cfg = RunConfig(identities=["second_order_system"])
     assert cfg.to_json()["identities"] == ["second_order_system"]
 

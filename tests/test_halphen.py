@@ -14,6 +14,7 @@ from siegeltheta.halphen import (
     theta4_differences,
 )
 from siegeltheta.identities import SamplePlan
+from siegeltheta.theta import NearZeroThetanull
 
 
 def test_rhs_symmetric_input():
@@ -126,6 +127,12 @@ def test_lambda_at_i_is_half_and_f1_matches_theta():
     f1 = hyp2f1(0.5, 0.5, 1.0, 0.5)
     assert abs(f1 - 1.1803405990160962) < 1e-12
     assert abs(f1 - d["theta_00"] ** 2) < 1e-12
+
+
+def test_genus1_data_refuses_near_zero_thetanull():
+    # theta_01(0.05i) = 1.36e-6 lies within 10^3 of its tail bound at eps 1e-3
+    with pytest.raises(NearZeroThetanull, match=r"\(0;1\)"):
+        genus1_data(0.05j, 1e-3)
 
 
 def test_lambda_checks_large_imaginary_limit():

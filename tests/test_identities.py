@@ -1,13 +1,15 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from siegeltheta import identities
 from siegeltheta.identities import (
     REGISTRY,
     IdentityCheck,
     SamplePlan,
     check_eta_product,
     check_power72,
-    check_odd_gradient,
     check_riemann_quartic,
     checks_for_genus,
     run_check,
@@ -56,6 +58,23 @@ def test_registry_complete_and_nonempty():
         "odd_gradient_fourth",
         "weight2_diagonal",
     }
+
+
+def test_registry_runners_share_one_signature():
+    for name, spec in REGISTRY.items():
+        fn = spec.runner
+        assert fn.__name__.startswith("check_"), name
+        assert getattr(identities, fn.__name__) is fn, name
+        params = list(inspect.signature(fn).parameters)
+        assert params[:4] == ["genus", "plan", "eps", "tol"], (name, params)
+
+
+def test_checks_own_their_tolerance_floors():
+    plan = SamplePlan(seed=0, count=1)
+    assert identities.check_heat_equation(1, plan, tol=1e-12).tolerance == 1e-8
+    assert identities.check_heat_equation(1, plan, tol=1e-6).tolerance == 1e-6
+    assert identities.check_phi_leading(2, plan, tol=1e-12).tolerance == 1e-8
+    assert check_riemann_quartic(1, plan, tol=1e-12).tolerance == 1e-12
 
 
 def test_run_check_validation():
@@ -109,18 +128,13 @@ def test_failure_records_witness():
     assert "sample=0" in check.witness
 
 
-def test_odd_gradient_part_validation():
-    with pytest.raises(ValueError):
-        check_odd_gradient(2, PLAN, part="iii")
-
-
 def test_eta_product_and_power72_record_signs():
-    c6a = check_eta_product(SamplePlan(seed=3, count=1))
+    c6a = check_eta_product(2, SamplePlan(seed=3, count=1))
     assert c6a.status == "pass"
     assert len(c6a.notes["signs"]) == 45
     assert c6a.notes["signs_consistent_across_samples"]
     assert set(c6a.notes["signs"].values()) == {1, -1}
-    c6b = check_power72(SamplePlan(seed=3, count=1))
+    c6b = check_power72(2, SamplePlan(seed=3, count=1))
     assert c6b.status == "pass"
     assert len(c6b.notes["signs"]) == 10
     # the six pairs inside K0 must reproduce the explicit display signs
@@ -193,13 +207,11 @@ def test_identity_check_json_roundtrip():
 
 
 def test_nonfinite_residual_or_scale_fails_check():
-    from siegeltheta.identities import _Residuals
-
     for bad_res, bad_scale in ((float("nan"), 1), (float("inf"), 1), (1e-16, float("nan"))):
-        r = _Residuals()
-        r.add(1e-16, 1, "ok")
-        r.add(bad_res, bad_scale, "x")
-        r.add(1e-15, 1, "later")
-        check = r.finish(IdentityCheck("probe", 2, 1, 0, 1e-9))
+        check = IdentityCheck("probe", 2, 1, 0, 1e-9)
+        check.add(1e-16, 1, "ok")
+        check.add(bad_res, bad_scale, "x")
+        check.add(1e-15, 1, "later")
+        assert check.finish() is check
         assert check.status == "fail"
         assert check.witness == "x"
