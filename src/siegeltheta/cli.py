@@ -15,8 +15,8 @@ it.  The table's tol column is each check's effective tolerance, which a
 check with its own floor (heat_equation, phi_leading, transformation)
 raises above --tol.  Exit status: 0 on success, 1 on verification
 failure, 2 on usage errors.  A check the kernel refuses
-(NearZeroThetanull, TruncationError) gets status "error", and the
-campaign goes on with the other checks.
+(NearZeroThetanull, TruncationError) gets status "error" with its
+effective tolerance, and the campaign goes on with the other checks.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__, exactpoly, fourier, halphen
 from .characteristics import Characteristic, digit_decode, gopel_systems
 from .identities import DEFAULT_TOL, REGISTRY, IdentityCheck, SamplePlan
-from .identities import checks_for_genus, run_check
+from .identities import checks_for_genus, effective_tol, run_check
 from .siegel import SiegelPoint
 from .theta import DEFAULT_EPS, NearZeroThetanull, TruncationError, theta_jet
 
@@ -112,8 +112,9 @@ def _pool_run(args):
     try:
         check = run_check(name, genus, plan, eps, tol)
     except (NearZeroThetanull, TruncationError) as exc:
-        check = IdentityCheck(name, genus, plan.count, plan.seed, tol, status="error",
-                              witness=str(exc), notes={"exception": type(exc).__name__})
+        check = IdentityCheck(name, genus, plan.count, plan.seed, effective_tol(name, tol),
+                              status="error", witness=str(exc),
+                              notes={"exception": type(exc).__name__})
     return name, check, time.perf_counter() - t0
 
 

@@ -10,9 +10,11 @@ very large powers stay meaningful.
 Every check has the one signature check_*(genus, plan, eps, tol) and
 returns an IdentityCheck, which collects its own residuals (add) and
 sets its status (finish).  A check whose accuracy is limited by its own
-method owns a tolerance floor and records the effective tolerance:
-heat_equation and phi_leading use max(tol, 1e-8), transformation uses
-max(tol, TRANSFORMATION_TOL).
+method has a tolerance floor and records the effective tolerance,
+effective_tol(name, tol): heat_equation and phi_leading use
+max(tol, 1e-8), transformation uses max(tol, TRANSFORMATION_TOL).  The
+floors live in TOLERANCE_FLOORS, which the command line also reads for a
+check the kernel refuses.
 
 The registry at the bottom maps stable check names to these functions
 and their supported genera; run_check is the one place that refuses a
@@ -54,6 +56,7 @@ __all__ = [
     "REGISTRY",
     "run_check",
     "checks_for_genus",
+    "effective_tol",
     "check_riemann_quartic",
     "check_heat_equation",
     "check_second_order_system",
@@ -77,6 +80,14 @@ DEFAULT_TOL = 1e-9
 #: transformation-law checks visit points deep in the half-space where the
 #: congruence factors amplify absolute error; their stated tolerance is 1e-8
 TRANSFORMATION_TOL = 1e-8
+#: checks whose own method limits their accuracy, with the least tolerance
+#: each applies: tau finite differences (heat_equation), a 32nd power of a
+#: thetanull (phi_leading) and congruence factors (transformation)
+TOLERANCE_FLOORS = {
+    "heat_equation": 1e-8,
+    "phi_leading": 1e-8,
+    "transformation": TRANSFORMATION_TOL,
+}
 
 _FD_STEP = 1e-5
 #: words of the level-(4,8) theta group drawn by the transformation check
@@ -204,6 +215,13 @@ class IdentityCheck:
         return self
 
 
+def effective_tol(name: str, tol: float) -> float:
+    """The tolerance check `name` applies when tol is requested: tol, or
+    its floor in TOLERANCE_FLOORS when that is larger."""
+    floor = TOLERANCE_FLOORS.get(name)
+    return tol if floor is None else max(tol, floor)
+
+
 # ----------------------------------------------------------------------
 # shared per-point caches
 # ----------------------------------------------------------------------
@@ -306,7 +324,9 @@ def check_heat_equation(
     (step 1e-5, derivative normalization 1/pi i on the diagonal and
     1/2 pi i off it), at every even characteristic.  The finite
     differences limit the agreement, so the tolerance is at least 1e-8."""
-    check = IdentityCheck("heat_equation", genus, plan.count, plan.seed, max(tol, 1e-8))
+    check = IdentityCheck(
+        "heat_equation", genus, plan.count, plan.seed, effective_tol("heat_equation", tol)
+    )
     evens = enumerate_characteristics(genus, "even")
     h = _FD_STEP
     for k, tau in enumerate(plan.tau_points(genus)):
@@ -457,6 +477,16 @@ def check_odd_gradient_fourth(
 # transformation laws under the level-(4,8) theta group
 # ----------------------------------------------------------------------
 
+def _pair_laws(d: _EvenData, pairs) -> list[tuple[np.ndarray, complex]]:
+    """Per pair (a, b): lambda_0 (psi_b - psi_a) with lambda_0 = theta_b / theta_a,
+    and eta_{a,b} = det(psi_b - psi_a)."""
+    out = []
+    for a, b in pairs:
+        diff = d.psi[b] - d.psi[a]
+        out.append((d.value[b] / d.value[a] * diff.coefficients, diff.det()))
+    return out
+
+
 def check_transformation_laws(
     genus: int,
     plan: SamplePlan,
@@ -478,7 +508,7 @@ def check_transformation_laws(
     checked where evaluation is affordable.  The tolerance is at least
     TRANSFORMATION_TOL."""
     check = IdentityCheck(
-        "transformation", genus, plan.count, plan.seed, max(tol, TRANSFORMATION_TOL)
+        "transformation", genus, plan.count, plan.seed, effective_tol("transformation", tol)
     )
     evens = enumerate_characteristics(genus, "even")
     pairs = list(itertools.combinations(evens, 2))
@@ -492,18 +522,17 @@ def check_transformation_laws(
             gammas.append(gamma)
     if len(gammas) < _GAMMA_COUNT:
         raise RuntimeError("could not draw enough words with workable margins")
+    untransformed = {}  # per sample, built at first use to keep the kernel call order
     for kg, gamma in enumerate(gammas):
         for k, tau in enumerate(taus):
             gtau = act(gamma, tau)
             cmat = cocycle_factor(gamma, tau)
             detc2 = complex(np.linalg.det(cmat)) ** 2
-            d0 = _EvenData(tau, eps, order=2)
-            d1 = _EvenData(gtau, eps, order=2)
-            for a, b in pairs:
-                lam0 = d0.value[b] / d0.value[a]
-                lam1 = d1.value[b] / d1.value[a]
-                m0 = lam0 * (d0.psi[b] - d0.psi[a]).coefficients
-                m1 = lam1 * (d1.psi[b] - d1.psi[a]).coefficients
+            if k not in untransformed:
+                untransformed[k] = _pair_laws(_EvenData(tau, eps, order=2), pairs)
+            for (a, b), (m0, eta0), (m1, eta1) in zip(
+                pairs, untransformed[k], _pair_laws(_EvenData(gtau, eps, order=2), pairs)
+            ):
                 rhs = cmat @ m0 @ cmat.T
                 scale = max(np.abs(m1).max(), np.abs(rhs).max())
                 check.add(
@@ -511,8 +540,6 @@ def check_transformation_laws(
                     scale,
                     f"gamma={kg} sample={k} pair={a.label()},{b.label()} (congruence)",
                 )
-                eta0 = (d0.psi[b] - d0.psi[a]).det()
-                eta1 = (d1.psi[b] - d1.psi[a]).det()
                 scale = max(abs(eta1), abs(detc2 * eta0))
                 check.add(
                     abs(eta1 - detc2 * eta0),
@@ -982,7 +1009,9 @@ def check_phi_leading(
     eta_{01,02}^4 and equals theta_10^32 / 16^4 of the genus-1 point;
     checked at tau = i and at sampled scalars.  The 32nd power amplifies
     the relative error of theta_10, so the tolerance is at least 1e-8."""
-    check = IdentityCheck("phi_leading", genus, plan.count, plan.seed, max(tol, 1e-8))
+    check = IdentityCheck(
+        "phi_leading", genus, plan.count, plan.seed, effective_tol("phi_leading", tol)
+    )
     scalars = [1j] + plan.scalar_taus()[:5]
     for k, t0 in enumerate(scalars):
         tau = SiegelPoint(genus, t0 * np.eye(genus))

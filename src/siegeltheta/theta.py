@@ -31,18 +31,25 @@ One engine, _coset_sums, does every lattice sum: for the characteristics
 of one a' coset it returns the exactly rounded sums of m_j ... m_p term(m)
 for the monomials (), (j,), (j, l), (j, l, m, p) a caller asks for.
 theta_jet, theta_values and batch_moments choose only the monomials and
-the radius.  Every radius comes from truncation_radius, as the maximum
-over the weights a caller needs (eps, eps/2pi, eps/(2pi)^2 for a jet's
-value, gradient and Hessian; eps for each moment weight).  A radius whose
-box (2N+1)^g exceeds 2^20 points raises TruncationError before any
-allocation.
+the radius.  Every radius comes from one scan of the radii, _radius_scan,
+as the largest over the weights a caller needs of the first radius that
+certifies it (eps, eps/2pi, eps/(2pi)^2 for a jet's value, gradient and
+Hessian; eps for each moment weight).  A radius whose box (2N+1)^g
+exceeds 2^20 points raises TruncationError before any allocation.
 
-Summation runs in a fixed lexicographic order with exactly rounded
-(Shewchuk) accumulation, so results are reproducible bitwise and the
-parity cancellations are exact: odd characteristics give value and
-Hessian exactly 0 at z = 0, even ones give gradient exactly 0.  psi_a is
-formed only by _psi_from_moments, which refuses a thetanull within 10^3
-of its certified tail bound.
+Each sum is exactly rounded (Shewchuk accumulation, math.fsum), so it is
+reproducible bitwise and does not depend on the order of its terms.
+Without a z term the sum is folded over m <-> -m: the box is symmetric,
+and for a monomial of degree k the weighted term of -m is
+(-1)^(|a| + k) times that of m, bit for bit.  So a monomial with |a| + k
+odd is exactly 0 and is returned as +0.0 without summing (odd
+characteristics give value and Hessian exactly 0 at z = 0, even ones
+give gradient exactly 0), and every other monomial is the fsum of the
+origin term once and of twice the terms after it.  Doubling is exact and
+leaves the exact sum as it was, so the fold returns the bits of the
+full-box sum from half the exponentials.  psi_a is formed only by
+_psi_from_moments, which refuses a thetanull within 10^3 of its
+certified tail bound.
 """
 
 from __future__ import annotations
@@ -120,30 +127,23 @@ def _one_dim_sums(lam: float, r: float, shift: int, nrad: int) -> tuple[float, f
     return inside, 2.0 * h1 / (1.0 - rho)
 
 
-def _box_tail(lam: float, r: float, shifts, nrad: int, weight: int) -> float:
-    """Certified bound for sum of |m|^weight * exp(-pi lam |m|^2 + 2 pi r |m|)
-    over lattice points m outside the box |m_j| <= nrad.
+def _tail_product(lam: float, r: float, shifts, nrad: int) -> float:
+    """prod(S_j + T_j) - prod(S_j) over the axes, from the one-dimensional
+    sums of exp(-pi lam x^2 + 2 pi r x); inf when some T_j is.
 
     shifts holds one entry per axis: 0 or 1 for the parity of a'_j, or
     "any" to dominate both parities at once (per-axis maxima; the
     resulting bound is monotone in each one-dimensional sum, so it covers
     every mixed pattern).
     """
-    if weight == 0:
-        lam_eff, scale = lam, 1.0
-    else:
-        # |m|^w <= C exp(pi (lam/2) |m|^2) with C the analytic maximum
-        half = lam / 2.0
-        lam_eff = lam - half
-        scale = (weight / (2.0 * math.pi * half * math.e)) ** (weight / 2.0)
     sums, tails = [], []
     for aj in shifts:
         if aj == "any":
-            s0, t0 = _one_dim_sums(lam_eff, r, 0, nrad)
-            s1, t1 = _one_dim_sums(lam_eff, r, 1, nrad)
+            s0, t0 = _one_dim_sums(lam, r, 0, nrad)
+            s1, t1 = _one_dim_sums(lam, r, 1, nrad)
             s, t = max(s0, s1), max(t0, t1)
         else:
-            s, t = _one_dim_sums(lam_eff, r, aj % 2, nrad)
+            s, t = _one_dim_sums(lam, r, aj % 2, nrad)
         if math.isinf(t):
             return math.inf
         sums.append(s)
@@ -158,13 +158,64 @@ def _box_tail(lam: float, r: float, shifts, nrad: int, weight: int) -> float:
         for k in range(j + 1, g):
             part *= sums[k]
         diff += part
-    return scale * diff
+    return diff
+
+
+def _box_tails(lam: float, r: float, shifts, nrad: int, weights) -> dict[int, float]:
+    """Certified bounds, for each w in weights, on the sum of
+    |m|^w * exp(-pi lam |m|^2 + 2 pi r |m|) over lattice points m outside
+    the box |m_j| <= nrad.
+
+    Weight 0 is the plain Gaussian tail.  A weight w >= 1 uses
+    |m|^w <= C_w exp(pi (lam/2) |m|^2), C_w the analytic maximum, so all
+    such weights scale one tail product at lam/2.
+    """
+    bounds = {}
+    if 0 in weights:
+        bounds[0] = _tail_product(lam, r, shifts, nrad)
+    if any(weights):
+        half = lam / 2.0
+        diff = _tail_product(lam - half, r, shifts, nrad)
+        for w in weights:
+            if w:
+                scale = (w / (2.0 * math.pi * half * math.e)) ** (w / 2.0)
+                bounds[w] = math.inf if math.isinf(diff) else scale * diff
+    return bounds
 
 
 @dataclass(frozen=True)
 class TruncationResult:
     radius: int
     bound: float
+
+
+def _radius_scan(tau: SiegelPoint, z, shifts, eps_by_weight: dict) -> tuple[int, dict]:
+    """The one radius search: the smallest N at which every weight w has
+    certified tail <= eps_by_weight[w], with the bound of each weight at N.
+
+    The radii are scanned once, computing the lam and lam/2 tail products
+    once per radius.  Each weight is certified at the first radius whose
+    bound meets its eps, so N is the largest of the per-weight radii.  A
+    box of more than _MAX_BOX_POINTS points raises TruncationError naming
+    the eps of the first weight still open.
+    """
+    if min(eps_by_weight.values()) <= 0:
+        raise ValueError("eps must be positive")
+    lam = tau.lambda_min
+    if lam <= PD_MARGIN:
+        raise HalfSpaceError("Im(tau) is not positive definite with margin")
+    r = _imag_norm(z, tau.genus)
+    open_weights = list(eps_by_weight)
+    for nrad in range(1, _MAX_RADIUS + 1):
+        if (2 * nrad + 1) ** tau.genus > _MAX_BOX_POINTS:
+            raise TruncationError(f"eps={eps_by_weight[open_weights[0]]:g} needs more than "
+                                  f"{_MAX_BOX_POINTS} lattice points (lambda_min={lam:g})")
+        bounds = _box_tails(lam, r, shifts, nrad, eps_by_weight)
+        open_weights = [w for w in open_weights if not bounds[w] <= eps_by_weight[w]]
+        if not open_weights:
+            return nrad, bounds
+    raise TruncationError(f"no radius up to {_MAX_RADIUS} certifies "
+                          f"eps={eps_by_weight[open_weights[0]]:g} (lambda_min={lam:g})")
 
 
 def truncation_radius(
@@ -178,23 +229,9 @@ def truncation_radius(
     a'; with one it uses the exact per-axis parities (slightly tighter).
     A box of more than _MAX_BOX_POINTS points raises TruncationError.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    lam = tau.lambda_min
-    if lam <= PD_MARGIN:
-        raise HalfSpaceError("Im(tau) is not positive definite with margin")
-    r = _imag_norm(z, tau.genus)
     shifts = ("any",) * tau.genus if a is None else a.a_prime
-    for nrad in range(1, _MAX_RADIUS + 1):
-        if (2 * nrad + 1) ** tau.genus > _MAX_BOX_POINTS:
-            raise TruncationError(f"eps={eps:g} needs more than {_MAX_BOX_POINTS} "
-                                  f"lattice points (lambda_min={lam:g})")
-        bound = _box_tail(lam, r, shifts, nrad, weight)
-        if bound <= eps:
-            return TruncationResult(nrad, bound)
-    raise TruncationError(
-        f"no radius up to {_MAX_RADIUS} certifies eps={eps:g} (lambda_min={lam:g})"
-    )
+    nrad, bounds = _radius_scan(tau, z, shifts, {weight: eps})
+    return TruncationResult(nrad, bounds[weight])
 
 
 def _imag_norm(z, genus: int) -> float:
@@ -206,9 +243,8 @@ def _imag_norm(z, genus: int) -> float:
 
 def _box_radius(tau: SiegelPoint, z, a: Characteristic, eps_by_weight) -> TruncationResult:
     """Radius certifying each weight w to eps_by_weight[w], with the value's bound."""
-    nrad = max(truncation_radius(tau, z, e, w, a).radius for w, e in enumerate(eps_by_weight))
-    r = _imag_norm(z, tau.genus)
-    return TruncationResult(nrad, _box_tail(tau.lambda_min, r, a.a_prime, nrad, 0))
+    nrad, bounds = _radius_scan(tau, z, a.a_prime, dict(enumerate(eps_by_weight)))
+    return TruncationResult(nrad, bounds[0])
 
 
 # ----------------------------------------------------------------------
@@ -241,11 +277,19 @@ def _exp_terms(two_m: np.ndarray, tau: np.ndarray, z) -> np.ndarray:
     a'' excluded; that factor is exact and applied separately)."""
     m = two_m.astype(np.float64) / 2.0
     expo = 1j * math.pi * np.einsum("bj,jl,bl->b", m, tau, m)
-    if z is not None:
-        zz = np.asarray(z, dtype=complex).reshape(two_m.shape[1])
-        if np.any(zz != 0):
-            expo = expo + 2j * math.pi * (m @ zz)
+    zz = _nonzero_z(z, two_m.shape[1])
+    if zz is not None:
+        expo = expo + 2j * math.pi * (m @ zz)
     return np.exp(expo)
+
+
+def _nonzero_z(z, genus: int):
+    """z as a complex vector, or None when the series has no z term
+    (z is None or every entry is zero)."""
+    if z is None:
+        return None
+    zz = np.asarray(z, dtype=complex).reshape(genus)
+    return zz if np.any(zz != 0) else None
 
 
 def _phase_factors(two_m: np.ndarray, a_double_prime) -> np.ndarray:
@@ -259,8 +303,26 @@ def _coset_sums(
 ) -> dict[Characteristic, dict[tuple, complex]]:
     """{a: {monomial: sum of m_j ... m_p term(m) over the box}} for one a'
     coset.  A weight row is the product of its m columns, left to right;
-    the lattice, weights and exponentials are shared by the coset."""
+    the lattice, weights and exponentials are shared by the coset.
+
+    Without a z term the sum is folded over m <-> -m.  The box is
+    symmetric (row i of _lattice_two_m is minus row n-1-i), the exponent
+    of -m is bitwise that of m, the phase picks up (-1)^|a| and a weight
+    row of degree k picks up (-1)^k.  So a monomial with k + |a| odd sums
+    to exactly 0, returned as +0.0 + 0.0j, the bits fsum gives for a zero
+    sum; every other monomial is the fsum of the origin term (present when
+    a' = 0) once and of 2 * term over the rows after it.  Doubling is
+    exact, the exact sum is unchanged, and fsum rounds it exactly, so the
+    folded sums have the bits of the full-box sums at half the
+    exponentials and half the summed terms.
+    """
     two_m = _lattice_two_m(coset[0].a_prime, nrad)
+    fold = _nonzero_z(z, tau.genus) is None
+    if fold:
+        n = len(two_m)
+        two_m = two_m[n // 2:]  # the origin first when n is odd, i.e. a' = 0
+        multiplicity = np.full(len(two_m), 2.0)
+        multiplicity[0] = 2.0 - n % 2
     m = two_m.astype(np.float64) / 2.0
     weights = {
         mono: reduce(operator.mul, [m[:, i] for i in mono]) for mono in monomials if mono
@@ -269,7 +331,14 @@ def _coset_sums(
     out = {}
     for a in coset:
         t = base * _phase_factors(two_m, a.a_double_prime)
-        out[a] = {mono: _csum(weights[mono] * t if mono else t) for mono in monomials}
+        sums = {}
+        for mono in monomials:
+            if fold and (len(mono) + a.weight) % 2:
+                sums[mono] = complex(0.0, 0.0)
+                continue
+            terms = weights[mono] * t if mono else t
+            sums[mono] = _csum(multiplicity * terms if fold else terms)
+        out[a] = sums
     return out
 
 

@@ -132,6 +132,18 @@ def test_kernel_refusal_is_a_check_error_not_the_end_of_the_campaign(
     assert "near_divisor" in out and "error" in out
 
 
+def test_refused_check_records_its_own_tolerance_floor():
+    # the kernel refuses this plan during the radius arithmetic, before any
+    # allocation; the error record carries heat_equation's floor, not --tol
+    plan = identities.SamplePlan(count=1, diag_min=1e-3, diag_max=2e-3, offdiag=0.0)
+    name, check, _ = cli._pool_run(("heat_equation", 3, plan.to_json(), 1e-14, 1e-12))
+    assert name == "heat_equation"
+    assert check.status == "error"
+    assert check.notes == {"exception": "TruncationError"}
+    assert check.tolerance == 1e-8 == identities.effective_tol("heat_equation", 1e-12)
+    assert identities.effective_tol("riemann_quartic", 1e-12) == 1e-12
+
+
 def test_verify_report_byte_identical_modulo_timing(capsys, tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from siegeltheta.theta import (
     theta_moments,
     theta_values,
     truncation_radius,
+    _box_radius,
+    _box_tails,
     _exp_terms,
     _lattice_two_m,
     _phase_factors,
@@ -108,6 +112,40 @@ def test_truncation_radius_refuses_box_beyond_point_budget():
     zero2 = Characteristic(2, (0, 0), (0, 0))
     res = truncation_radius(SiegelPoint(2, 1e-3j * np.eye(2)), None, 1e-14, weight=4, a=zero2)
     assert res.radius == 179 and res.bound <= 1e-14
+
+
+def _first_certified_radius(pt, z, eps, weight, a):
+    """Reference search: the first radius whose bound for weight meets eps."""
+    r = 0.0 if z is None else float(np.linalg.norm(np.imag(z)))
+    nrad = 1
+    while not _box_tails(pt.lambda_min, r, a.a_prime, nrad, (weight,))[weight] <= eps:
+        nrad += 1
+    return nrad
+
+
+def test_box_radius_is_the_largest_per_weight_radius():
+    # the one radius scan certifies each weight where its own search would
+    two_pi = 2.0 * math.pi
+    eps_sets = ((1e-14, 1e-14 / two_pi, 1e-14 / two_pi**2), (1e-12,) * 5, (1e-14, 1.0, 1.0))
+    for seed in range(24):
+        genus = 1 + seed % 3
+        rng = np.random.default_rng(2000 + seed)
+        pt = _random_point(genus, 2000 + seed)
+        pt = SiegelPoint(genus, pt.tau.real + 1j * rng.uniform(0.05, 1.0) * pt.tau.imag)
+        z = rng.uniform(-0.3, 0.3, genus) + 1j * rng.uniform(-0.3, 0.3, genus)
+        z = None if seed % 2 else z
+        chars = enumerate_characteristics(genus)
+        a = chars[seed % len(chars)]
+        for eps_by_weight in eps_sets:
+            own = [truncation_radius(pt, z, e, w, a) for w, e in enumerate(eps_by_weight)]
+            assert [r.radius for r in own] == [
+                _first_certified_radius(pt, z, e, w, a) for w, e in enumerate(eps_by_weight)
+            ]
+            box = _box_radius(pt, z, a, eps_by_weight)
+            assert box.radius == max(r.radius for r in own)
+            assert box.bound <= own[0].bound
+            if own[0].radius == box.radius:
+                assert box.bound == own[0].bound
 
 
 # ----------------------------------------------------------------------
@@ -375,3 +413,73 @@ def test_phase_factors_are_exact_units():
     two_m = _lattice_two_m((1, 0), 3)
     ph = _phase_factors(two_m, (1, 1))
     assert set(np.unique(ph)).issubset({1 + 0j, -1 + 0j, 1j, -1j})
+
+
+# ----------------------------------------------------------------------
+# the z = 0 fold
+# ----------------------------------------------------------------------
+
+def _full_box_sums(a, z, tau, nrad, monomials):
+    """Reference without the fold: fsum over every row of the box."""
+    two_m = _lattice_two_m(a.a_prime, nrad)
+    m = two_m.astype(np.float64) / 2.0
+    t = _exp_terms(two_m, tau.tau, z) * _phase_factors(two_m, a.a_double_prime)
+    out = {}
+    for mono in monomials:
+        terms = reduce(operator.mul, [m[:, i] for i in mono]) * t if mono else t
+        out[mono] = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+    return out
+
+
+def _hex(values):
+    """float.hex of every real and imaginary part, so signed zeros count."""
+    return [(v.real.hex(), v.imag.hex()) for v in np.asarray(values, dtype=complex).ravel()]
+
+
+def _monomials(genus, order):
+    return [()] + [
+        mono
+        for k in (1, 2, 4)
+        if k <= order
+        for mono in itertools.combinations_with_replacement(range(genus), k)
+    ]
+
+
+def test_lattice_box_is_symmetric_under_negation():
+    # row i is minus row n-1-i, with and without the origin
+    for a_prime in ((0,), (1,), (0, 0), (0, 1), (1, 1), (0, 0, 0), (1, 0, 1)):
+        two_m = _lattice_two_m(a_prime, 3)
+        assert np.array_equal(two_m, -two_m[::-1])
+        assert (len(two_m) % 2 == 1) == (not any(a_prime))
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_folded_sums_match_full_box_bitwise(genus):
+    pt = _random_point(genus, 40 + genus)
+    chars = enumerate_characteristics(genus)
+    two_pi = 2.0 * math.pi
+    for order in (1, 2, 4):
+        moments = batch_moments(chars, pt, order=order)
+        for a in chars:
+            mom = moments[a]
+            ref = _full_box_sums(a, None, pt, mom.radius, _monomials(genus, order))
+            assert _hex(mom.value) == _hex(ref[()])
+            assert _hex(mom.t1) == _hex([ref[(j,)] for j in range(genus)])
+            if order >= 2:
+                t2 = [ref[tuple(sorted((j, l)))] for j in range(genus) for l in range(genus)]
+                assert _hex(mom.t2) == _hex(t2)
+            for key, val in mom.t4.items():
+                assert _hex(val) == _hex(ref[key])
+    for z in (None, np.zeros(genus)):
+        values = theta_values(chars, z, pt)
+        for a in chars:
+            nrad = truncation_radius(pt, z, 1e-14, 0, a).radius
+            assert _hex(values[a]) == _hex(_full_box_sums(a, z, pt, nrad, [()])[()])
+            jet = theta_jet(a, z, pt)
+            nrad = max(truncation_radius(pt, z, 1e-14 / two_pi**w, w, a).radius for w in (0, 1, 2))
+            ref = _full_box_sums(a, z, pt, nrad, _monomials(genus, 2))
+            assert _hex(jet.value) == _hex(ref[()])
+            assert _hex(jet.z_gradient) == _hex([2j * math.pi * ref[(j,)] for j in range(genus)])
+            hess = [(2j * math.pi) ** 2 * ref[tuple(sorted((j, l)))]
+                    for j in range(genus) for l in range(genus)]
+            assert _hex(jet.z_hessian) == _hex(hess)
