@@ -15,20 +15,38 @@ A Gopel system is a set of four distinct even characteristics of the
 shape {a, a+c, a+d, a+c+d}; equivalently, four distinct even
 characteristics whose mod-2 sum is zero.  Genus 2 has exactly fifteen
 of them and every even characteristic lies in exactly six.
+
+Each characteristic has an integer code: the bits a' || a'' read as a
+binary number, a' in the high g bits.  enumerate_characteristics lists
+the characteristics in lexicographic bit order, so the one at position i
+has code i, and the algebra above becomes integer arithmetic on codes:
+
+  code(a + b) = code(a) XOR code(b)
+  |a|         = popcount(hi(a) AND lo(a))          (hi = a', lo = a'')
+  a'.b''      = popcount(hi(a) AND lo(b)) mod 2
+  <a, b>      = a'.b'' XOR b'.a''
+
+char_table(g) holds these as per-genus arrays indexed by position,
+built once on first use; the identity checks read them instead of
+building characteristics in their inner loops.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 __all__ = [
     "Characteristic",
+    "CharTable",
     "GopelSystem",
     "parity",
     "pairing",
     "enumerate_characteristics",
+    "char_table",
     "digit_encode",
     "digit_decode",
     "gopel_systems",
@@ -81,6 +99,12 @@ class Characteristic:
         """Concatenated (a' || a'') bits; the canonical sort key."""
         return self.a_prime + self.a_double_prime
 
+    @property
+    def code(self) -> int:
+        """The bits read as a binary number: the position of a in
+        enumerate_characteristics(genus) and in char_table(genus)."""
+        return int("".join(map(str, self.bits)), 2)
+
     def label(self) -> str:
         """Two-digit label at genus 2, explicit bit form otherwise."""
         if self.genus == 2:
@@ -106,9 +130,6 @@ class Characteristic:
 
     def __str__(self) -> str:
         return self.label()
-
-    def zero_like(self) -> "Characteristic":
-        return Characteristic(self.genus, (0,) * self.genus, (0,) * self.genus)
 
 
 def parity(a: Characteristic) -> str:
@@ -150,6 +171,51 @@ def enumerate_characteristics(genus: int, parity_filter: str = "all") -> list[Ch
     raise ValueError(f"parity_filter must be all|even|odd, got {parity_filter!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class CharTable:
+    """The characteristic algebra of one genus, indexed by position (= code).
+
+    chars[i] has code i; add[i, j] = i ^ j is the position of
+    chars[i] + chars[j]; weight[i] = |chars[i]|; cross[i, j] =
+    a'_i . a''_j mod 2; pairing[i, j] = <chars[i], chars[j]>; even and
+    odd list the positions of each parity in increasing order.  The
+    arrays are read-only and shared by every caller.
+    """
+
+    chars: tuple[Characteristic, ...]
+    add: np.ndarray
+    weight: np.ndarray
+    cross: np.ndarray
+    pairing: np.ndarray
+    even: tuple[int, ...]
+    odd: tuple[int, ...]
+
+    @cached_property
+    def gopel(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Gopel systems as increasing position quads, in lexicographic
+        order: four even positions whose codes XOR to 0."""
+        return tuple(
+            q for q in itertools.combinations(self.even, 4) if q[0] ^ q[1] ^ q[2] ^ q[3] == 0
+        )
+
+
+@lru_cache(maxsize=None)
+def char_table(genus: int) -> CharTable:
+    """The cached CharTable of the given genus (1..MAX_GENUS)."""
+    chars = tuple(enumerate_characteristics(genus))
+    codes = np.arange(len(chars))
+    bits = np.array([a.bits for a in chars])
+    hi, lo = bits[:, :genus], bits[:, genus:]
+    weight = (hi * lo).sum(axis=1)
+    cross = (hi @ lo.T) % 2
+    arrays = (codes[:, None] ^ codes[None, :], weight, cross, cross ^ cross.T)
+    for arr in arrays:
+        arr.setflags(write=False)
+    even = tuple(np.flatnonzero(weight % 2 == 0).tolist())
+    odd = tuple(np.flatnonzero(weight % 2).tolist())
+    return CharTable(chars, *arrays, even, odd)
+
+
 def digit_encode(a: Characteristic) -> str:
     """Two-digit genus-2 label: first digit encodes a', second a''."""
     if a.genus != 2:
@@ -179,10 +245,7 @@ class GopelSystem:
             raise ValueError("a Gopel system has exactly 4 distinct members")
         if any(not m.is_even for m in ms):
             raise ValueError("all members of a Gopel system must be even")
-        total = ms[0]
-        for m in ms[1:]:
-            total = total + m
-        if total != ms[0].zero_like():
+        if ms[0].code ^ ms[1].code ^ ms[2].code ^ ms[3].code:
             raise ValueError("members do not form a coset (their sum is non-zero)")
         object.__setattr__(self, "members", ms)
 
@@ -193,23 +256,9 @@ class GopelSystem:
         return tuple(m.label() for m in self.members)
 
 
-@lru_cache(maxsize=None)
-def _gopel_cached(genus: int) -> tuple[GopelSystem, ...]:
-    even = enumerate_characteristics(genus, "even")
-    found = []
-    # 210 four-subsets at genus 2; the coset condition is "sum of members = 0"
-    for quad in itertools.combinations(even, 4):
-        total = quad[0]
-        for m in quad[1:]:
-            total = total + m
-        if total == quad[0].zero_like():
-            found.append(GopelSystem(quad))
-    found.sort(key=lambda G: tuple(m.bits for m in G.members))
-    return tuple(found)
-
-
 def gopel_systems(genus: int = 2) -> list[GopelSystem]:
     """All Gopel systems, deterministically ordered.  Genus 2 only."""
     if genus != 2:
         raise ValueError("Gopel system enumeration is implemented for genus 2 only")
-    return list(_gopel_cached(genus))
+    table = char_table(genus)
+    return [GopelSystem(tuple(table.chars[i] for i in q)) for q in table.gopel]

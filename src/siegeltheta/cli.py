@@ -155,15 +155,21 @@ def _parse_char(text: str, genus: int | None = None) -> Characteristic:
 
 def _parse_tau(text: str) -> SiegelPoint:
     obj = json.loads(text)
-    if isinstance(obj, dict):
-        return SiegelPoint.from_json(obj)
-    mat = np.array([[complex(re, im) for re, im in row] for row in obj])
+    try:
+        if isinstance(obj, dict):
+            return SiegelPoint.from_json(obj)
+        mat = np.array([[complex(re, im) for re, im in row] for row in obj])
+    except TypeError as exc:
+        raise ValueError(f"tau must be a JSON point or a matrix of [re, im] pairs ({exc})") from exc
     return SiegelPoint(mat.shape[0], mat)
 
 
 def _parse_z(text: str, genus: int) -> np.ndarray:
     obj = json.loads(text)
-    z = np.array([complex(re, im) for re, im in obj])
+    try:
+        z = np.array([complex(re, im) for re, im in obj])
+    except TypeError as exc:
+        raise ValueError(f"z must be a JSON list of [re, im] pairs ({exc})") from exc
     if z.shape != (genus,):
         raise ValueError(f"z must have {genus} entries")
     return z
@@ -314,8 +320,11 @@ def _cmd_gopel(args) -> int:
 def _cmd_report(args) -> int:
     with open(args.path) as fh:
         payload = json.load(fh)
-    _print_table(payload)
-    return 0 if payload.get("overall") == "pass" else 1
+    try:
+        _print_table(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{args.path} is not a campaign report ({exc})") from exc
+    return 0 if payload["overall"] == "pass" else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        default=int(os.environ.get("SIEGELTHETA_WORKERS", "1")),
+        # a string default goes through type=int, so a malformed value is a usage error
+        default=os.environ.get("SIEGELTHETA_WORKERS", "1"),
         help="process pool size (default from SIEGELTHETA_WORKERS)",
     )
     p.set_defaults(func=_cmd_verify)

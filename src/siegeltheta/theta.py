@@ -50,6 +50,14 @@ leaves the exact sum as it was, so the fold returns the bits of the
 full-box sum from half the exponentials.  psi_a is formed only by
 _psi_from_moments, which refuses a thetanull within 10^3 of its
 certified tail bound.
+
+A QuarticForm is dense: one complex vector over the monomial basis of
+its genus, the sorted index 4-tuples j <= l <= m <= p in lexicographic
+order (1, 5 and 15 monomials at genus 1, 2 and 3).  _quartic_basis(g)
+caches that basis with the map from each of the g^4 index tuples to its
+monomial, and _symmetrize folds a 4-index array onto the basis with one
+np.add.at over that map, adding the orderings of each monomial in C
+order.  Sums, differences and scalar multiples are vector operations.
 """
 
 from __future__ import annotations
@@ -510,66 +518,72 @@ class SymmetricForm:
         return complex(np.linalg.det(self.coefficients))
 
 
-class QuarticForm:
-    """A quartic form in u, stored by monomial.
+@lru_cache(maxsize=None)
+def _quartic_basis(genus: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, index) of the monomial basis of quartic forms in genus
+    variables.  keys holds the sorted index 4-tuples j <= l <= m <= p in
+    lexicographic order, one row per monomial (1, 5 and 15 of them at
+    genus 1, 2 and 3); index[j, l, m, p] is the row of sorted((j, l, m, p))."""
+    tuples = np.array(list(itertools.product(range(genus), repeat=4)))
+    keys, index = np.unique(np.sort(tuples, axis=1), axis=0, return_inverse=True)
+    index = index.reshape((genus,) * 4)
+    keys.setflags(write=False)
+    index.setflags(write=False)
+    return keys, index
 
-    Keys are sorted index 4-tuples; the stored number is the full
-    monomial coefficient, i.e. the sum over all index orderings of the
-    defining 4-index array, so evaluation is a plain sum over keys.
+
+def _symmetrize(full: np.ndarray) -> np.ndarray:
+    """Monomial coefficients of the quartic form with 4-index array full:
+    each is the sum of full over the orderings of its indices, added in
+    C order of (j, l, m, p)."""
+    keys, index = _quartic_basis(full.shape[0])
+    out = np.zeros(len(keys), dtype=complex)
+    np.add.at(out, index.reshape(-1), full.reshape(-1))
+    return out
+
+
+@dataclass(frozen=True)
+class QuarticForm:
+    """A quartic form in u, one complex vector over the monomial basis.
+
+    coefficients[i] is the full coefficient of the monomial
+    u_j u_l u_m u_p with (j, l, m, p) = _quartic_basis(genus)[0][i],
+    i.e. the sum over all index orderings of the defining 4-index array,
+    so evaluation is a plain dot product with the monomials.
     """
 
-    __slots__ = ("genus", "coeffs")
-
-    def __init__(self, genus: int, coeffs: dict | None = None):
-        self.genus = genus
-        self.coeffs = dict(coeffs or {})
+    genus: int
+    coefficients: np.ndarray = field(repr=False)
 
     @staticmethod
     def from_quadratic_product(phi: SymmetricForm, eta: SymmetricForm) -> "QuarticForm":
         """The quartic form phi(u) * eta(u)."""
-        g = phi.genus
-        if eta.genus != g:
+        if eta.genus != phi.genus:
             raise ValueError("genus mismatch")
-        out: dict = {}
-        p, q = phi.coefficients, eta.coefficients
-        for j in range(g):
-            for l in range(g):
-                pjl = p[j, l]
-                for mm in range(g):
-                    for pp in range(g):
-                        key = tuple(sorted((j, l, mm, pp)))
-                        out[key] = out.get(key, 0.0) + pjl * q[mm, pp]
-        return QuarticForm(g, out)
+        full = np.multiply.outer(phi.coefficients, eta.coefficients)
+        return QuarticForm(phi.genus, _symmetrize(full))
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0.0) + v
-        return QuarticForm(self.genus, out)
+        return QuarticForm(self.genus, self.coefficients + other.coefficients)
 
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0.0) - v
-        return QuarticForm(self.genus, out)
+        return QuarticForm(self.genus, self.coefficients - other.coefficients)
 
     def __mul__(self, s):
-        return QuarticForm(self.genus, {k: v * s for k, v in self.coeffs.items()})
+        return QuarticForm(self.genus, self.coefficients * s)
 
     __rmul__ = __mul__
 
     def coefficient(self, j, l, m, p) -> complex:
-        return self.coeffs.get(tuple(sorted((j, l, m, p))), 0.0)
+        """The coefficient of u_j u_l u_m u_p, in any index order."""
+        return complex(self.coefficients[_quartic_basis(self.genus)[1][j, l, m, p]])
 
     def value_at(self, u) -> complex:
         u = np.asarray(u, dtype=complex)
-        total = 0.0 + 0.0j
-        for (j, l, m, p), c in self.coeffs.items():
-            total += c * u[j] * u[l] * u[m] * u[p]
-        return complex(total)
+        return complex(self.coefficients @ u[_quartic_basis(self.genus)[0]].prod(axis=1))
 
     def max_abs(self) -> float:
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
+        return float(np.abs(self.coefficients).max())
 
 
 # ----------------------------------------------------------------------
@@ -618,17 +632,12 @@ def odd_z_gradient(a: Characteristic, tau: SiegelPoint, eps: float = DEFAULT_EPS
 
 
 def _delta_psi_from_moments(mom: Moments) -> QuarticForm:
+    """delta(psi_a): the symmetrization of t4_{jlmp} / theta_a - psi_jl psi_mp."""
     g = mom.t2.shape[0]
+    keys, index = _quartic_basis(g)
+    t4 = np.array([mom.t4[key] for key in map(tuple, keys.tolist())])
     psi = mom.t2 / mom.value
-    out: dict = {}
-    for j in range(g):
-        for l in range(g):
-            for mm in range(g):
-                for pp in range(g):
-                    skey = tuple(sorted((j, l, mm, pp)))
-                    val = mom.t4[skey] / mom.value - psi[j, l] * psi[mm, pp]
-                    out[skey] = out.get(skey, 0.0) + val
-    return QuarticForm(g, out)
+    return QuarticForm(g, _symmetrize(t4[index] / mom.value - np.multiply.outer(psi, psi)))
 
 
 def quartic_delta_psi(a: Characteristic, tau: SiegelPoint, eps: float = DEFAULT_EPS) -> QuarticForm:

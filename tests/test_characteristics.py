@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from siegeltheta.characteristics import (
     Characteristic,
     GopelSystem,
+    char_table,
     digit_decode,
     digit_encode,
     enumerate_characteristics,
@@ -150,17 +151,22 @@ def test_gopel_membership_six_fold():
 
 
 def test_gopel_brute_force_matches():
-    # independent enumeration: 4-subsets of the evens with zero sum
+    # independent enumeration: 4-subsets of the evens with zero sum, built
+    # with Characteristic arithmetic and sorted, against the table's
+    # XOR-of-codes enumeration and gopel_systems, in the same order
     evens = enumerate_characteristics(2, "even")
     zero = Characteristic(2, (0, 0), (0, 0))
-    found = set()
+    found = []
     for quad in itertools.combinations(evens, 4):
         total = quad[0]
         for m in quad[1:]:
             total = total + m
         if total == zero:
-            found.add(frozenset(quad))
-    assert found == {frozenset(G.members) for G in gopel_systems(2)}
+            found.append(quad)
+    found.sort(key=lambda q: tuple(m.bits for m in q))
+    table = char_table(2)
+    assert [tuple(table.chars[i] for i in q) for q in table.gopel] == found
+    assert [G.members for G in gopel_systems(2)] == found
 
 
 def test_gopel_system_validation():
@@ -177,3 +183,23 @@ def test_gopel_pairs_lie_in_exactly_two_systems():
     for a, b in itertools.combinations(evens, 2):
         through = [G for G in systems if a in G and b in G]
         assert len(through) == 2
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_char_table_matches_characteristic_algebra(genus):
+    table = char_table(genus)
+    chars = table.chars
+    n = 4**genus
+    assert chars == tuple(enumerate_characteristics(genus))
+    for i, a in enumerate(chars):
+        assert a.bits == tuple(int(b) for b in format(i, f"0{2 * genus}b"))
+        assert a.code == i
+        assert table.weight[i] == a.weight
+    for i, j in itertools.product(range(n), repeat=2):
+        a, b = chars[i], chars[j]
+        assert chars[table.add[i, j]] == a + b
+        assert table.cross[i, j] == sum(p * q for p, q in zip(a.a_prime, b.a_double_prime)) % 2
+        assert table.pairing[i, j] == pairing(a, b)
+    assert [chars[i] for i in table.even] == enumerate_characteristics(genus, "even")
+    assert [chars[i] for i in table.odd] == enumerate_characteristics(genus, "odd")
+

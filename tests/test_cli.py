@@ -182,6 +182,36 @@ def test_table_shows_effective_tolerance(capsys, tmp_path):
     assert payload["checks"][0]["tolerance"] == 1e-8
 
 
+TAU2 = "[[[0.1,1.0],[0.0,0.1]],[[0.0,0.1],[0.0,1.2]]]"
+
+
+@pytest.mark.parametrize(
+    "argv,env",
+    [
+        (["eval", "--char", "00", "--tau", "5"], {}),
+        (["eval", "--char", "00", "--tau", "[[1]]"], {}),
+        (["eval", "--char", "00", "--tau", TAU2, "--z", "5"], {}),
+        (["eval", "--char", "00", "--tau", TAU2, "--z", "[1, 2]"], {}),
+        (["report", "EMPTY_LIST_FILE"], {}),
+        (["verify", "all"], {"SIEGELTHETA_WORKERS": "abc"}),
+    ],
+    ids=["tau-scalar", "tau-entry-not-a-pair", "z-scalar", "z-entry-not-a-pair",
+         "report-of-a-list", "workers-env-not-an-int"],
+)
+def test_malformed_input_is_a_usage_error(argv, env, capsys, monkeypatch, tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    argv = [str(empty) if arg == "EMPTY_LIST_FILE" else arg for arg in argv]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    assert code == 2
+    assert "error: " in capsys.readouterr().err
+
+
 def test_report_rendering(capsys, tmp_path):
     out_path = tmp_path / "r.json"
     run_main(capsys, "verify", "genus2_quadratic", "--samples", "1", "--json", str(out_path))

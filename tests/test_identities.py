@@ -215,3 +215,61 @@ def test_nonfinite_residual_or_scale_fails_check():
         assert check.finish() is check
         assert check.status == "fail"
         assert check.witness == "x"
+
+
+def test_identity_sweeps_build_no_characteristics(monkeypatch):
+    # the sweeps index the characteristic table; none of them builds a
+    # Characteristic per term (a + b and friends) once the tables exist
+    from siegeltheta.characteristics import Characteristic, char_table
+
+    char_table(3)
+    calls = []
+    original = Characteristic.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(Characteristic, "__post_init__", counting)
+    plan = SamplePlan(seed=0, count=1)
+    for name in ("riemann_quartic", "odd_gradient_squared", "odd_gradient_fourth",
+                 "second_order_system"):
+        assert run_check(name, 3, plan).status == "pass"
+    assert len(calls) == 0
+
+
+def _negate_eta_00_01_on_second_sample(monkeypatch, plan):
+    from siegeltheta.characteristics import digit_decode
+
+    second = plan.tau_points(2)[1].tau
+    pair = {digit_decode("00").code, digit_decode("01").code}
+    original = identities._eta_from_psi
+
+    def flipped(data, a, b):
+        eta = original(data, a, b)
+        return -eta if {a, b} == pair and np.array_equal(data.tau.tau, second) else eta
+
+    monkeypatch.setattr(identities, "_eta_from_psi", flipped)
+
+
+def test_sign_flip_witness_names_the_flipped_pair(monkeypatch):
+    plan = SamplePlan(count=2)
+    _negate_eta_00_01_on_second_sample(monkeypatch, plan)
+    check = check_eta_product(2, plan)
+    assert check.status == "fail"
+    assert check.max_rel_residual < check.tolerance  # only the sign fails
+    assert check.witness == "sign flip pair=00,01 at sample=1"
+    assert check.notes["signs_consistent_across_samples"] is False
+
+
+def test_sign_flip_witness_names_the_flipped_characteristics(monkeypatch):
+    # eta_{00,01} enters every right side through the product over all
+    # pairs, and for a in {00, 01} also with power -3, so negating it
+    # flips the sign of the other eight characteristics only
+    plan = SamplePlan(count=2)
+    _negate_eta_00_01_on_second_sample(monkeypatch, plan)
+    check = check_power72(2, plan)
+    assert check.status == "fail"
+    assert check.max_rel_residual < check.tolerance
+    flipped = ("02", "03", "10", "12", "20", "21", "30", "33")
+    assert check.witness == "sign flip " + "; ".join(f"a={x} at sample=1" for x in flipped)

@@ -12,6 +12,8 @@ from siegeltheta.characteristics import Characteristic, enumerate_characteristic
 from siegeltheta.siegel import DerivationIndex, SiegelPoint
 from siegeltheta.theta import (
     NearZeroThetanull,
+    QuarticForm,
+    SymmetricForm,
     TruncationError,
     batch_moments,
     delta_theta,
@@ -24,6 +26,7 @@ from siegeltheta.theta import (
     truncation_radius,
     _box_radius,
     _box_tails,
+    _delta_psi_from_moments,
     _exp_terms,
     _lattice_two_m,
     _phase_factors,
@@ -388,15 +391,65 @@ def test_quartic_delta_psi_unit_vector_and_fd_oracle():
     for idx in itertools.product(range(2), repeat=4):
         key = tuple(sorted(idx))
         fd_coeffs[key] = fd_coeffs.get(key, 0.0) + fd_full[idx[0], idx[1]][idx[2], idx[3]]
-    for key, val in quartic.coeffs.items():
-        assert abs(val - fd_coeffs[key]) < 1e-7
+    for key, val in fd_coeffs.items():
+        assert abs(quartic.coefficient(*key) - val) < 1e-7
 
 
 def test_quartic_coefficients_fully_symmetric_keys():
-    pt = _random_point(2, 22)
-    quartic = quartic_delta_psi(Characteristic(2, (0, 0), (0, 1)), pt)
-    for key in quartic.coeffs:
-        assert key == tuple(sorted(key))
+    # one coefficient per monomial: every index order reads the same number
+    pt = _random_point(3, 22)
+    quartic = quartic_delta_psi(Characteristic(3, (0, 0, 1), (0, 1, 0)), pt)
+    assert quartic.coefficients.shape == (15,)
+    seen = set()
+    for idx in itertools.product(range(3), repeat=4):
+        c = quartic.coefficient(*idx)
+        assert c == quartic.coefficient(*sorted(idx))
+        seen.add(c)
+    assert len(seen) == 15
+
+
+def _dict_symmetrize(genus, terms):
+    """Reference for the dense forms: the dict-keyed accumulation over
+    sorted index keys, in C order of (j, l, m, p), of x - y for
+    (x, y) = terms(j, l, m, p), with the summed |x| + |y| per key."""
+    out, size = {}, {}
+    for idx in itertools.product(range(genus), repeat=4):
+        key = tuple(sorted(idx))
+        x, y = terms(*idx)
+        out[key] = out.get(key, 0.0) + (x - y)
+        size[key] = size.get(key, 0.0) + abs(x) + abs(y)
+    return out, size
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_dense_quartic_forms_match_dict_reference(genus):
+    # the dense products may round differently in the last bit (vectorized
+    # complex multiply), so compare within 8 ulps of the summed magnitudes
+    ulp = np.finfo(float).eps
+    rng = np.random.default_rng([41, genus])
+    pt = _random_point(genus, 40 + genus)
+    cases = []
+    for _ in range(5):
+        m = rng.normal(size=(2, genus, genus)) + 1j * rng.normal(size=(2, genus, genus))
+        phi, eta = SymmetricForm(genus, m[0]), SymmetricForm(genus, m[1])
+        p, q = phi.coefficients, eta.coefficients
+        cases.append((
+            QuarticForm.from_quadratic_product(phi, eta),
+            _dict_symmetrize(genus, lambda j, l, mm, pp: (p[j, l] * q[mm, pp], 0.0)),
+        ))
+    for a in enumerate_characteristics(genus, "even"):
+        mom = theta_moments(a, pt, 1e-14, order=4)
+        psi = mom.t2 / mom.value
+        cases.append((
+            _delta_psi_from_moments(mom),
+            _dict_symmetrize(genus, lambda j, l, mm, pp: (
+                mom.t4[tuple(sorted((j, l, mm, pp)))] / mom.value, psi[j, l] * psi[mm, pp]
+            )),
+        ))
+    for form, (ref, size) in cases:
+        assert form.coefficients.shape == (len(ref),)
+        for key, val in ref.items():
+            assert abs(form.coefficient(*key) - val) <= 8 * ulp * size[key]
 
 
 def test_moment_batching_consistency():
