@@ -175,21 +175,19 @@ def _parse_z(text: str, genus: int) -> np.ndarray:
     return z
 
 
-def _print_table(report_json: dict, stream=None):
-    stream = stream if stream is not None else sys.stdout
+def _render_table(report_json: dict) -> str:
+    """The report as a text table; raises before returning anything on a
+    malformed report, so a caller prints all of it or none."""
     rows = report_json["checks"]
     width = max((len(r["name"]) for r in rows), default=4)
-    print(
-        f"{'check':<{width}}  genus  {'max rel':>10}  {'tol':>8}  {'max abs':>10}  status",
-        file=stream,
-    )
+    lines = [f"{'check':<{width}}  genus  {'max rel':>10}  {'tol':>8}  {'max abs':>10}  status"]
     for r in rows:
-        print(
+        lines.append(
             f"{r['name']:<{width}}  {r['genus']:^5}  {r['max_rel_residual']:>10.2e}  "
-            f"{r['tolerance']:>8.2g}  {r['max_abs_residual']:>10.2e}  {r['status']}",
-            file=stream,
+            f"{r['tolerance']:>8.2g}  {r['max_abs_residual']:>10.2e}  {r['status']}"
         )
-    print(f"overall: {report_json['overall']}", file=stream)
+    lines.append(f"overall: {report_json['overall']}")
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +231,7 @@ def _cmd_verify(args) -> int:
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2)
-    _print_table(payload)
+    print(_render_table(payload))
     return 0 if report.overall == "pass" else 1
 
 
@@ -321,9 +319,10 @@ def _cmd_report(args) -> int:
     with open(args.path) as fh:
         payload = json.load(fh)
     try:
-        _print_table(payload)
+        table = _render_table(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{args.path} is not a campaign report ({exc})") from exc
+    print(table)
     return 0 if payload["overall"] == "pass" else 1
 
 

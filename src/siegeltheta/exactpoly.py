@@ -1,10 +1,29 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-Coefficients are Fractions (unbounded integers, always in lowest terms
-with positive denominator), exponent vectors are tuples over a fixed,
-name-sorted variable list, and a polynomial is zero exactly when its
-term map is empty.  Term iteration and serialization use graded
-lexicographic order.
+A polynomial over the variable list ``variables`` (a fixed tuple of
+names) is stored as ``{packed monomial: integer numerator}`` over one
+positive integer denominator.  The stored form is canonical: no numerator
+is zero, the gcd of the denominator and every numerator is 1, and the
+zero polynomial is the empty map over denominator 1.  Equal polynomials
+over the same variables therefore have equal maps and denominators.
+
+Packing.  Variable i of n owns a field of W = 21 bits, the first
+variable the most significant, so a monomial is one int
+``sum(e_i << W*(n-1-i))`` and, for a fixed variable list, integer order
+on keys is lexicographic order on exponent vectors.  Every stored term
+has total degree at most MAX_DEGREE = 10^6, so every field is at most
+10^6, and 2^W = 2097152 > 2 * MAX_DEGREE: adding two stored keys adds
+their fields without a carry, and the monomial product is one integer
+addition.  Because 2^W = 1 (mod 2^W - 1), a key modulo 2^W - 1 is the
+sum of its fields, exactly the total degree of the monomial while that
+is below 2^W - 1.  A product's degree is exactly deg a + deg b (the top
+homogeneous parts multiply to a nonzero form), so a product above
+MAX_DEGREE raises OverflowError before any of its keys is formed.
+
+Fraction appears only at the edges: the constructor, ``constant``,
+scalar operands of ``+``, ``-``, ``*`` and ``==``, the ``terms`` view
+(a decoded ``{exponent tuple: Fraction}`` dict), ``sorted_terms`` (graded
+lexicographic order), ``evaluate``, ``substitute`` and ``str``.
 
 On top of the ring arithmetic this module certifies the two
 coefficient-level identities of the genus-2 thetanull ring and one
@@ -30,6 +49,7 @@ consistency lemma:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .characteristics import digit_encode, enumerate_characteristics, gopel_systems
 
@@ -47,28 +67,62 @@ __all__ = [
 
 MAX_DEGREE = 10**6
 
+#: bits per exponent field; 2**_W > 2 * MAX_DEGREE keeps key sums carry-free
+_W = 21
+#: one field of ones; a key modulo _MASK is its total degree
+_MASK = (1 << _W) - 1
+
+
+def _shift(variables: tuple, name: str) -> int:
+    """Bit offset of the named variable's exponent field."""
+    return _W * (len(variables) - 1 - variables.index(name))
+
 
 class RationalPoly:
     """Sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "_num", "_den")
 
     def __init__(self, variables, terms=None):
         self.variables = tuple(variables)
-        clean = {}
+        n = len(self.variables)
+        coeffs = {}
         for expo, coeff in (terms or {}).items():
             c = Fraction(coeff)
             if c == 0:
                 continue
             expo = tuple(int(e) for e in expo)
-            if len(expo) != len(self.variables):
+            if len(expo) != n:
                 raise ValueError("exponent vector length does not match variable count")
             if any(e < 0 for e in expo):
                 raise ValueError("negative exponents are not supported")
             if sum(expo) > MAX_DEGREE:
                 raise OverflowError(f"degree above the supported limit {MAX_DEGREE}")
-            clean[expo] = c
-        self.terms = clean
+            key = 0
+            for e in expo:
+                key = (key << _W) | e
+            coeffs[key] = c
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        # over the lcm of lowest-terms denominators the gcd is already 1
+        self._num = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
+        self._den = den
+
+    @classmethod
+    def _packed(cls, variables, num: dict, den: int = 1) -> "RationalPoly":
+        """Wrap packed terms with nonzero numerators over den > 0,
+        dividing out their common factor."""
+        if not num:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {k: c // g for k, c in num.items()}
+        poly = object.__new__(cls)
+        poly.variables = variables
+        poly._num = num
+        poly._den = den
+        return poly
 
     # -- constructors ---------------------------------------------------
 
@@ -78,17 +132,16 @@ class RationalPoly:
 
     @classmethod
     def constant(cls, value, variables=()) -> "RationalPoly":
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): Fraction(value)})
+        value = Fraction(value)
+        num = {0: value.numerator} if value else {}
+        return cls._packed(tuple(variables), num, value.denominator)
 
     @classmethod
     def variable(cls, name: str, variables=None) -> "RationalPoly":
         if variables is None:
             variables = (name,)
         variables = tuple(variables)
-        expo = [0] * len(variables)
-        expo[variables.index(name)] = 1
-        return cls(variables, {tuple(expo): Fraction(1)})
+        return cls._packed(variables, {1 << _shift(variables, name): 1})
 
     @classmethod
     def ring(cls, names) -> list["RationalPoly"]:
@@ -101,15 +154,14 @@ class RationalPoly:
     def _remap(self, variables) -> "RationalPoly":
         if variables == self.variables:
             return self
-        pos = [variables.index(v) for v in self.variables]
-        n = len(variables)
-        terms = {}
-        for expo, c in self.terms.items():
-            new = [0] * n
-            for p, e in zip(pos, expo):
-                new[p] = e
-            terms[tuple(new)] = c
-        return RationalPoly(variables, terms)
+        moves = [(_shift(self.variables, v), _shift(variables, v)) for v in self.variables]
+        num = {}
+        for key, c in self._num.items():
+            new = 0
+            for old_shift, new_shift in moves:
+                new |= ((key >> old_shift) & _MASK) << new_shift
+            num[new] = c
+        return RationalPoly._packed(variables, num, self._den)
 
     @staticmethod
     def _common(a: "RationalPoly", b: "RationalPoly"):
@@ -127,19 +179,22 @@ class RationalPoly:
 
     def __add__(self, other):
         a, b = self._common(self, self._coerce(other))
-        terms = dict(a.terms)
-        for expo, c in b.terms.items():
-            s = terms.get(expo, Fraction(0)) + c
+        den = lcm(a._den, b._den)
+        sa, sb = den // a._den, den // b._den
+        num = {k: c * sa for k, c in a._num.items()} if sa != 1 else dict(a._num)
+        for k, c in b._num.items():
+            s = num.get(k, 0) + c * sb
             if s:
-                terms[expo] = s
+                num[k] = s
             else:
-                terms.pop(expo, None)
-        return RationalPoly(a.variables, terms)
+                del num[k]
+        return RationalPoly._packed(a.variables, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        num = {k: -c for k, c in self._num.items()}
+        return RationalPoly._packed(self.variables, num, self._den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -150,18 +205,21 @@ class RationalPoly:
     def __mul__(self, other):
         if not isinstance(other, RationalPoly):
             s = Fraction(other)
-            return RationalPoly(self.variables, {e: c * s for e, c in self.terms.items()})
+            num = {k: c * s.numerator for k, c in self._num.items()} if s else {}
+            return RationalPoly._packed(self.variables, num, self._den * s.denominator)
         a, b = self._common(self, other)
+        # deg ab = deg a + deg b: the top homogeneous parts multiply to a nonzero form
+        if a.degree() + b.degree() > MAX_DEGREE:
+            raise OverflowError(f"degree above the supported limit {MAX_DEGREE}")
         out: dict = {}
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(key, Fraction(0)) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return RationalPoly(a.variables, out)
+        get = out.get
+        items = list(b._num.items())
+        for ka, ca in a._num.items():
+            for kb, cb in items:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        num = {k: c for k, c in out.items() if c}
+        return RationalPoly._packed(a.variables, num, a._den * b._den)
 
     __rmul__ = __mul__
 
@@ -184,17 +242,14 @@ class RationalPoly:
             return self
         repl = replacement if isinstance(replacement, RationalPoly) else \
             RationalPoly.constant(replacement, self.variables)
-        idx = self.variables.index(name)
+        shift = _shift(self.variables, name)
+        by_power: dict = {}
+        for key, c in self._num.items():
+            k = (key >> shift) & _MASK
+            by_power.setdefault(k, {})[key & ~(_MASK << shift)] = c
         out = RationalPoly.zero(self.variables)
-        powers = {0: RationalPoly.constant(1, self.variables)}
-        for expo, c in sorted(self.terms.items()):
-            k = expo[idx]
-            if k not in powers:
-                powers[k] = repl**k
-            rest = list(expo)
-            rest[idx] = 0
-            mono = RationalPoly(self.variables, {tuple(rest): c})
-            out = out + mono * powers[k]
+        for k in sorted(by_power):
+            out = out + RationalPoly._packed(self.variables, by_power[k], self._den) * repl**k
         return out
 
     def evaluate(self, assignment: dict):
@@ -214,30 +269,47 @@ class RationalPoly:
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __eq__(self, other):
         if not isinstance(other, RationalPoly):
             other = RationalPoly.constant(other, self.variables)
         a, b = self._common(self, other)
-        return a.terms == b.terms
+        return a._den == b._den and a._num == b._num
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        if not self._num.keys() - {0}:
+            return hash(Fraction(self._num.get(0, 0), self._den))
+        return hash(frozenset(
+            (frozenset((v, e) for v, e in zip(self.variables, expo) if e), c)
+            for expo, c in self.terms.items()
+        ))
+
+    def _decode(self, key: int) -> tuple:
+        n = len(self.variables)
+        return tuple((key >> (_W * i)) & _MASK for i in range(n - 1, -1, -1))
+
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: Fraction}, decoded afresh on each access."""
+        return {self._decode(k): Fraction(c, self._den) for k, c in self._num.items()}
 
     @property
     def term_count(self) -> int:
-        return len(self.terms)
+        return len(self._num)
 
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((key % _MASK for key in self._num), default=0)
 
     def sorted_terms(self):
         """Terms in graded lexicographic order on the fixed variable list."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        return [
+            (self._decode(k), Fraction(self._num[k], self._den))
+            for k in sorted(self._num, key=lambda k: (k % _MASK, k))
+        ]
 
     def __str__(self):
-        if not self.terms:
+        if not self._num:
             return "0"
         parts = []
         for expo, c in self.sorted_terms():
@@ -251,7 +323,7 @@ class RationalPoly:
         return " + ".join(parts)
 
     def __repr__(self):
-        return f"RationalPoly({len(self.variables)} vars, {len(self.terms)} terms)"
+        return f"RationalPoly({len(self.variables)} vars, {len(self._num)} terms)"
 
 
 # ----------------------------------------------------------------------

@@ -193,15 +193,20 @@ TAU2 = "[[[0.1,1.0],[0.0,0.1]],[[0.0,0.1],[0.0,1.2]]]"
         (["eval", "--char", "00", "--tau", TAU2, "--z", "5"], {}),
         (["eval", "--char", "00", "--tau", TAU2, "--z", "[1, 2]"], {}),
         (["report", "EMPTY_LIST_FILE"], {}),
+        (["report", "ROW_WITHOUT_GENUS_FILE"], {}),
         (["verify", "all"], {"SIEGELTHETA_WORKERS": "abc"}),
     ],
     ids=["tau-scalar", "tau-entry-not-a-pair", "z-scalar", "z-entry-not-a-pair",
-         "report-of-a-list", "workers-env-not-an-int"],
+         "report-of-a-list", "report-row-without-genus", "workers-env-not-an-int"],
 )
 def test_malformed_input_is_a_usage_error(argv, env, capsys, monkeypatch, tmp_path):
-    empty = tmp_path / "empty.json"
-    empty.write_text("[]")
-    argv = [str(empty) if arg == "EMPTY_LIST_FILE" else arg for arg in argv]
+    files = {
+        "EMPTY_LIST_FILE": "[]",
+        "ROW_WITHOUT_GENUS_FILE": '{"checks": [{"name": "x"}], "overall": "pass"}',
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     try:
@@ -209,7 +214,10 @@ def test_malformed_input_is_a_usage_error(argv, env, capsys, monkeypatch, tmp_pa
     except SystemExit as exc:  # argparse's own usage errors
         code = exc.code
     assert code == 2
-    assert "error: " in capsys.readouterr().err
+    out = capsys.readouterr()
+    # nothing half-rendered reaches stdout before the error
+    assert out.out == ""
+    assert "error: " in out.err
 
 
 def test_report_rendering(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -17,13 +18,22 @@ from siegeltheta.exactpoly import (
 )
 
 
-def dense_multiply(a: RationalPoly, b: RationalPoly) -> dict:
-    """Independent oracle: plain double loop over aligned exponents."""
-    merged = tuple(sorted(set(a.variables) | set(b.variables)))
-    aa, bb = a._remap(merged), b._remap(merged)
+def aligned_terms(p: RationalPoly, names) -> dict:
+    """p's public terms with exponent tuples over the variable list names."""
     out = {}
-    for ea, ca in aa.terms.items():
-        for eb, cb in bb.terms.items():
+    for expo, c in p.terms.items():
+        by_name = dict(zip(p.variables, expo))
+        out[tuple(by_name.get(v, 0) for v in names)] = c
+    return out
+
+
+def dense_multiply(a: RationalPoly, b: RationalPoly) -> dict:
+    """Independent oracle: plain double loop over aligned exponent tuples
+    and Fraction coefficients, read through the public view only."""
+    merged = tuple(sorted(set(a.variables) | set(b.variables)))
+    out = {}
+    for ea, ca in aligned_terms(a, merged).items():
+        for eb, cb in aligned_terms(b, merged).items():
             key = tuple(x + y for x, y in zip(ea, eb))
             out[key] = out.get(key, Fraction(0)) + ca * cb
     return {k: v for k, v in out.items() if v}
@@ -55,11 +65,17 @@ def test_substitute_collapses_difference():
 
 
 def test_zero_detection_and_lowest_terms():
-    x, = RationalPoly.ring(["x"])
+    x, y = RationalPoly.ring(["x", "y"])
     p = Fraction(2, 4) * x - Fraction(1, 2) * x
     assert p.is_zero() and p.terms == {}
+    assert (Fraction(1, 3) * x - Fraction(1, 3) * x).terms == {}
     q = Fraction(2, 6) * x
     assert list(q.terms.values()) == [Fraction(1, 3)]
+    # mixed denominators share one canonical form
+    mixed = Fraction(1, 3) * x + Fraction(1, 6) * y
+    assert mixed * 6 == 2 * x + y
+    assert mixed.terms == {(1, 0): Fraction(1, 3), (0, 1): Fraction(1, 6)}
+    assert str(Fraction(2, 4) * x + Fraction(5, 30) * y) == "1/6*y + 1/2*x"
 
 
 def test_degree_guard():
@@ -67,6 +83,35 @@ def test_degree_guard():
     with pytest.raises(OverflowError):
         RationalPoly(("x",), {(10**6 + 1,): 1})
     assert (x**100).degree() == 100
+
+
+def test_packed_fields_never_carry():
+    x, y = RationalPoly.ring(["x", "y"])
+    for v in (x, y):
+        with pytest.raises(OverflowError):
+            v**600000 * v**600000
+    assert (y**600000 * y**400000).terms == {(0, 10**6): 1}
+    p = x**500000 * y**500000
+    assert p.degree() == 10**6
+    assert p.terms == {(500000, 500000): 1}
+
+
+def test_hash_agrees_with_equality():
+    x, = RationalPoly.ring(["x"])
+    x_in_xy = RationalPoly.variable("x", ("x", "y"))
+    xy = RationalPoly.variable("x", ("x", "y")) * RationalPoly.variable("y", ("x", "y"))
+    yx = RationalPoly.variable("x", ("y", "x")) * RationalPoly.variable("y", ("y", "x"))
+    pairs = [
+        (x, x_in_xy),
+        (RationalPoly.constant(3), 3),
+        (RationalPoly.constant(Fraction(1, 2), ("x",)), Fraction(1, 2)),
+        (RationalPoly.zero(("x",)), RationalPoly.zero()),
+        (xy, yx),
+    ]
+    for p, q in pairs:
+        assert p == q
+        assert hash(p) == hash(q)
+    assert len({x, x_in_xy}) == 1
 
 
 def test_variable_merge_by_name():
@@ -79,9 +124,9 @@ def test_variable_merge_by_name():
 
 def test_sorted_terms_graded_lex():
     x, y = RationalPoly.ring(["x", "y"])
-    p = x**3 + y + x * y + 1
-    degs = [sum(e) for e, _ in p.sorted_terms()]
-    assert degs == sorted(degs)
+    p = x**3 + y**2 + x * y + x + 1
+    order = [e for e, _ in p.sorted_terms()]
+    assert order == [(0, 0), (1, 0), (0, 2), (1, 1), (3, 0)]
 
 
 def test_pow_validation():
@@ -93,7 +138,7 @@ def test_pow_validation():
 @settings(max_examples=60, deadline=None)
 @given(small_polys(), small_polys())
 def test_mul_matches_dense_oracle(a, b):
-    got = (a * b)._remap(tuple(sorted(set(a.variables) | set(b.variables)))).terms
+    got = aligned_terms(a * b, tuple(sorted(set(a.variables) | set(b.variables))))
     assert got == dense_multiply(a, b)
 
 
@@ -157,6 +202,32 @@ def test_phi_polynomials_shape():
     assert len(phis) == 4
     assert all(p.degree() == 4 for p in phis)
     assert all(len(p.variables) == 12 for p in phis)
+
+
+@pytest.mark.parametrize("slot", [1, 2])
+def test_phi_expansion_statistics_are_pinned(slot):
+    _, stats = phi_combination(slot=slot)
+    assert stats == {"term_count_high_water": 7255, "result_terms": 0, "phi_terms": [21] * 4}
+
+
+@pytest.mark.parametrize(
+    "control,terms,degree,digest",
+    [
+        (lambda: chi_combination(3), 12, 4,
+         "d8cfb62c170418f91265e917979f80bc7eda70071559313176cec5ed7cd8c299"),
+        (lambda: phi_combination(63, 1)[0], 7255, 16,
+         "96c14dc165eaa932cf22f24f0e7de1e1e75bd10bfd4b7357ab9ad9e2db45a232"),
+        (lambda: gopel_sum_defect(Fraction(1, 3)), 465, 6,
+         "c7b6f83843521b43b6987cce325b67bea620db3db097b3c2392e2bbf55657456"),
+    ],
+    ids=["chi[3]", "phi[63,slot1]", "gopel-sum[1/3]"],
+)
+def test_mutation_controls_are_pinned(control, terms, degree, digest):
+    # digests of str() as the tuple-and-Fraction engine printed them: the
+    # packed engine must expand to byte-identical polynomials
+    poly = control()
+    assert (poly.term_count, poly.degree()) == (terms, degree)
+    assert hashlib.sha256(str(poly).encode()).hexdigest() == digest
 
 
 def test_gopel_sum_lemma_holds_and_mutation_breaks():
