@@ -27,7 +27,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -69,15 +69,7 @@ class RunConfig:
         return SamplePlan(seed=self.seed, count=self.samples)
 
     def to_json(self) -> dict:
-        return {
-            "genus": self.genus,
-            "seed": self.seed,
-            "samples": self.samples,
-            "eps": self.eps,
-            "tol": self.tol,
-            "identities": list(self.identities),
-            "workers": self.workers,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Real
 
 from .characteristics import digit_encode, enumerate_characteristics, gopel_systems
 
@@ -59,6 +60,7 @@ __all__ = [
     "verify_phi_identity",
     "verify_gopel_sum_lemma",
     "chi_combination",
+    "phi_expressions",
     "phi_polynomials",
     "phi_combination",
     "gopel_sum_defect",
@@ -273,6 +275,8 @@ class RationalPoly:
 
     def __eq__(self, other):
         if not isinstance(other, RationalPoly):
+            if not isinstance(other, Real):
+                return NotImplemented
             other = RationalPoly.constant(other, self.variables)
         a, b = self._common(self, other)
         return a._den == b._den and a._num == b._num
@@ -366,39 +370,35 @@ def _psi_vars():
     return gens
 
 
-def _eta_developed(gens, a: str, b: str) -> RationalPoly:
-    # det of the difference of psi matrices in first-minor form:
-    # (psi_{a,1}-psi_{b,1})(psi_{a,2}-psi_{b,2}) - (psi_{a,3}-psi_{b,3})^2
-    return (gens[(a, 1)] - gens[(b, 1)]) * (gens[(a, 2)] - gens[(b, 2)]) - (
-        gens[(a, 3)] - gens[(b, 3)]
-    ) ** 2
+def phi_expressions(psi, slot: int = 1) -> list:
+    """The four phi expressions from psi[(a, j)], a in {00,01,02,03} and
+    j in {1,2,3} for the slots (1,1), (2,2) and (1,2) of psi_a.
 
-
-def phi_polynomials(slot: int = 1) -> list[RationalPoly]:
-    """The four phi polynomials over the twelve psi indeterminates.
-
-    slot selects which derivative slot the plain differences use (1 by
-    default; 2 gives the symmetric partner obtained by the index swap
-    1 <-> 2, which satisfies the same relation).
+    The values may be RationalPoly indeterminates (the formal identity)
+    or complex numbers (the numeric check).  slot selects which
+    derivative slot the plain differences use (1 by default; 2 gives the
+    symmetric partner obtained by the index swap 1 <-> 2, which
+    satisfies the same relation).
     """
     if slot not in (1, 2):
         raise ValueError("slot must be 1 or 2")
-    gens = _psi_vars()
-    eta = {}
-    for a in _K0:
-        for b in _K0:
-            if a != b:
-                eta[(a, b)] = _eta_developed(gens, a, b)
+
+    def eta(a, b):
+        # det of the difference of psi matrices in first-minor form:
+        # (psi_{a,1}-psi_{b,1})(psi_{a,2}-psi_{b,2}) - (psi_{a,3}-psi_{b,3})^2
+        return (psi[(a, 1)] - psi[(b, 1)]) * (psi[(a, 2)] - psi[(b, 2)]) - (
+            psi[(a, 3)] - psi[(b, 3)]
+        ) ** 2
 
     def d(a, b):
-        return gens[(a, slot)] - gens[(b, slot)]
+        return psi[(a, slot)] - psi[(b, slot)]
 
     def phi(x, y, z):
         # the triple excluding one member of K0, in the fixed pattern
         return (
-            d(z, x) * d(x, y) * eta[(y, z)]
-            + d(y, z) * d(x, y) * eta[(z, x)]
-            + d(y, z) * d(z, x) * eta[(x, y)]
+            d(z, x) * d(x, y) * eta(y, z)
+            + d(y, z) * d(x, y) * eta(z, x)
+            + d(y, z) * d(z, x) * eta(x, y)
         )
 
     return [
@@ -407,6 +407,11 @@ def phi_polynomials(slot: int = 1) -> list[RationalPoly]:
         phi("00", "01", "03"),
         phi("00", "01", "02"),
     ]
+
+
+def phi_polynomials(slot: int = 1) -> list[RationalPoly]:
+    """The four phi polynomials over the twelve psi indeterminates."""
+    return phi_expressions(_psi_vars(), slot)
 
 
 def phi_combination(product_constant=64, slot: int = 1) -> tuple[RationalPoly, dict]:

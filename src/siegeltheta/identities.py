@@ -17,8 +17,11 @@ floors live in TOLERANCE_FLOORS, which the command line also reads for a
 check the kernel refuses.
 
 The checks index characteristics by position in characteristics.char_table
-and read sums, parities and signs from it; _EvenData keys its values,
-psi matrices and quartic forms by those positions.
+and read sums, parities and signs from it.  Every z = 0 datum reaches a
+check through one point record, _PointData: one batch of moments at one
+tau, with values, moments, psi matrices and quartic forms keyed by those
+positions.  psi and the forms built on it are formed on first use, so
+the near-zero guard of the kernel fires only in checks that read psi.
 
 The registry at the bottom maps stable check names to these functions
 and their supported genera; run_check is the one place that refuses a
@@ -32,8 +35,8 @@ import itertools
 import math
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import asdict, dataclass, field
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -44,6 +47,7 @@ from .characteristics import (
     digit_encode,
     enumerate_characteristics,
 )
+from .exactpoly import phi_expressions
 from .siegel import SiegelPoint, act, cocycle_factor, random_gamma_48
 from .theta import (
     DEFAULT_EPS,
@@ -161,15 +165,7 @@ class SamplePlan:
         return out
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "count": self.count,
-            "re_range": self.re_range,
-            "diag_min": self.diag_min,
-            "diag_max": self.diag_max,
-            "offdiag": self.offdiag,
-            "z_box": self.z_box,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -188,18 +184,7 @@ class IdentityCheck:
     notes: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "genus": self.genus,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "max_abs_residual": self.max_abs_residual,
-            "max_rel_residual": self.max_rel_residual,
-            "status": self.status,
-            "witness": self.witness,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     def add(self, abs_res: float, scale: float, witness: str):
         """Record one residual; keep the worst and remember where it happened."""
@@ -228,39 +213,45 @@ def effective_tol(name: str, tol: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# shared per-point caches
+# the point record
 # ----------------------------------------------------------------------
 
-class _EvenData:
-    """Thetanull values, psi matrices and delta(psi) quartics at one tau,
-    keyed by the position of each even characteristic in char_table.
+class _PointData:
+    """z = 0 data at one tau from one batch of moments, keyed by position
+    in char_table: the characteristics at positions (every even one by
+    default), their moments to the given order and their values.
 
-    Only meaningful away from the theta divisors; a thetanull within
-    10^3 of its certified tail bound raises (the guard of the kernel).
+    psi, delta_psi and psi_sq are formed on first use.  psi is only
+    meaningful away from the theta divisors: reading it raises
+    NearZeroThetanull when a thetanull lies within 10^3 of its certified
+    tail bound (the guard of the kernel), and delta_psi and psi_sq read
+    it first.
     """
 
-    def __init__(self, tau: SiegelPoint, eps: float, order: int = 2):
+    def __init__(self, tau: SiegelPoint, eps: float, order: int = 2, positions=None):
         self.tau = tau
         self.table = char_table(tau.genus)
-        self.evens = self.table.even
-        chars = {i: self.table.chars[i] for i in self.evens}
-        moments = batch_moments(chars.values(), tau, eps, order=order)
-        self.value = {i: moments[a].value for i, a in chars.items()}
-        self.psi = {i: _psi_from_moments(a, moments[a]) for i, a in chars.items()}
-        if order >= 4:
-            self.delta_psi = {i: _delta_psi_from_moments(moments[a]) for i, a in chars.items()}
-            self.psi_sq = {i: QuarticForm.from_quadratic_product(p, p) for i, p in self.psi.items()}
+        self.positions = self.table.even if positions is None else positions
+        chars = [self.table.chars[i] for i in self.positions]
+        moments = batch_moments(chars, tau, eps, order=order)
+        self.moments = {i: moments[a] for i, a in zip(self.positions, chars)}
+        self.value = {i: m.value for i, m in self.moments.items()}
+
+    @cached_property
+    def psi(self) -> dict:
+        return {i: _psi_from_moments(self.table.chars[i], m) for i, m in self.moments.items()}
+
+    @cached_property
+    def delta_psi(self) -> dict:
+        self.psi  # the near-zero guard
+        return {i: _delta_psi_from_moments(m) for i, m in self.moments.items()}
+
+    @cached_property
+    def psi_sq(self) -> dict:
+        return {i: QuarticForm.from_quadratic_product(p, p) for i, p in self.psi.items()}
 
     def label(self, a: int) -> str:
         return self.table.chars[a].label()
-
-
-def _psi_by_label(tau: SiegelPoint, labels, eps: float):
-    """Psi matrices for selected genus-2 characteristics only (usable at
-    special points where other thetanulls vanish)."""
-    chars = [digit_decode(lbl) for lbl in labels]
-    moms = batch_moments(chars, tau, eps, order=2)
-    return {lbl: _psi_from_moments(c, moms[c]) for lbl, c in zip(labels, chars)}
 
 
 def _quartic_scale(*forms: QuarticForm) -> float:
@@ -323,10 +314,11 @@ def check_heat_equation(
     check = IdentityCheck(
         "heat_equation", genus, plan.count, plan.seed, effective_tol("heat_equation", tol)
     )
-    evens = enumerate_characteristics(genus, "even")
+    table = char_table(genus)
+    evens = [table.chars[i] for i in table.even]
     h = _FD_STEP
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = batch_moments(evens, tau, eps, order=2)
+        data = _PointData(tau, eps)
         for j in range(genus):
             for l in range(j, genus):
                 shift = np.zeros((genus, genus))
@@ -336,10 +328,10 @@ def check_heat_equation(
                 vp = theta_values(evens, None, tp, eps)
                 vm = theta_values(evens, None, tm, eps)
                 norm = 1j * math.pi if j == l else 2j * math.pi
-                for a in evens:
+                for i, a in zip(table.even, evens):
                     fd = (vp[a] - vm[a]) / (2 * h) / norm
-                    exact = data[a].t2[j, l]
-                    scale = max(abs(exact), abs(data[a].value))
+                    exact = data.moments[i].t2[j, l]
+                    scale = max(abs(exact), abs(data.value[i]))
                     check.add(
                         abs(fd - exact),
                         scale,
@@ -364,17 +356,17 @@ def check_second_order_system(
     coeff = 1.0 / 2 ** (genus - 2)
     pair = char_table(genus).pairing.tolist()
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _EvenData(tau, eps, order=4)
+        data = _PointData(tau, eps, order=4)
         rng = np.random.default_rng([plan.seed, genus, 97, k])
         u = rng.uniform(-1, 1, genus) + 1j * rng.uniform(-1, 1, genus)
-        for a in data.evens:
+        for a in data.positions:
             t_a4 = data.value[a] ** 4
             lhs = t_a4 * data.delta_psi[a]
             rhs = (-2 * t_a4) * data.psi_sq[a]
-            for b in data.evens:
+            for b in data.positions:
                 rhs = rhs + (coeff * (-1) ** pair[a][b] * data.value[b] ** 4) * data.psi_sq[b]
             scale = _quartic_scale(lhs, rhs) + max(
-                coeff * abs(data.value[b] ** 4) * data.psi_sq[b].max_abs() for b in data.evens
+                coeff * abs(data.value[b] ** 4) * data.psi_sq[b].max_abs() for b in data.positions
             )
             diff = lhs - rhs
             check.add(diff.max_abs(), scale, f"sample={k} a={data.label(a)} (coefficients)")
@@ -397,22 +389,19 @@ def _odd_gradient_sweep(check: IdentityCheck, plan: SamplePlan, eps: float, side
     with a the position of the odd characteristic in char_table."""
     genus = check.genus
     table = char_table(genus)
-    odds = [table.chars[i] for i in table.odd]
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _EvenData(tau, eps, order=2)
-        odd_moms = batch_moments(odds, tau, eps, order=1)
-        for a, char in zip(table.odd, odds):
+        data = _PointData(tau, eps)
+        odd = _PointData(tau, eps, order=1, positions=table.odd)
+        for a in table.odd:
             for j in range(genus):
-                lhs, terms = sides(data, a, odd_moms[char].t1[j], j)
+                lhs, terms = sides(data, a, odd.moments[a].t1[j], j)
                 total = 0.0j
                 term_scale = abs(lhs)
                 for term in terms:
                     total += term
                     term_scale = max(term_scale, abs(term) / 2 ** (genus - 1))
                 rhs = total / 2 ** (genus - 1)
-                check.add(
-                    abs(lhs - rhs), term_scale, f"sample={k} a={char.label()} j={j + 1}"
-                )
+                check.add(abs(lhs - rhs), term_scale, f"sample={k} a={odd.label(a)} j={j + 1}")
     return check.finish()
 
 
@@ -437,7 +426,7 @@ def check_odd_gradient_squared(
             * (data.value[add[a][b]] / t0) ** 2
             * (data.value[b] / t0) ** 2
             * (data.psi[add[a][b]][j, j] - data.psi[0][j, j])
-            for b in data.evens
+            for b in data.positions
             if weight[add[a][b]] % 2 == 0  # otherwise the summand carries theta_{a+b}^2 = 0
         )
         return (grad_j / t0) ** 2, terms
@@ -466,7 +455,7 @@ def check_odd_gradient_fourth(
     def sides(data, a, grad_j, j):
         terms = (
             (-1) ** weight[add[a][b]] * data.value[b] ** 4 * data.psi[b][j, j] ** 2
-            for b in data.evens
+            for b in data.positions
         )
         return grad_j**4, terms
 
@@ -477,7 +466,7 @@ def check_odd_gradient_fourth(
 # transformation laws under the level-(4,8) theta group
 # ----------------------------------------------------------------------
 
-def _pair_laws(d: _EvenData, pairs) -> list[tuple[np.ndarray, complex]]:
+def _pair_laws(d: _PointData, pairs) -> list[tuple[np.ndarray, complex]]:
     """Per pair (a, b): lambda_0 (psi_b - psi_a) with lambda_0 = theta_b / theta_a,
     and eta_{a,b} = det(psi_b - psi_a)."""
     out = []
@@ -529,9 +518,9 @@ def check_transformation_laws(
             cmat = cocycle_factor(gamma, tau)
             detc2 = complex(np.linalg.det(cmat)) ** 2
             if k not in untransformed:
-                untransformed[k] = _pair_laws(_EvenData(tau, eps, order=2), pairs)
+                untransformed[k] = _pair_laws(_PointData(tau, eps), pairs)
             for (a, b), (m0, eta0), (m1, eta1) in zip(
-                pairs, untransformed[k], _pair_laws(_EvenData(gtau, eps, order=2), pairs)
+                pairs, untransformed[k], _pair_laws(_PointData(gtau, eps), pairs)
             ):
                 pair = f"{table.chars[a].label()},{table.chars[b].label()}"
                 rhs = cmat @ m0 @ cmat.T
@@ -580,13 +569,11 @@ def check_weight2_diagonal(
     psi_10 - psi_00 = delta(lambda) / (4 lambda); includes a
     non-vanishing margin at tau = i."""
     check = IdentityCheck("weight2_diagonal", genus, plan.count, plan.seed, tol)
-    a = Characteristic(genus, (0,) * genus, (0,) * genus)
-    b = Characteristic(genus, (1,) * genus, (0,) * genus)
+    b = Characteristic(genus, (1,) * genus, (0,) * genus).code  # a = 0 is position 0
     samples = plan.scalar_taus() + [1j]
     for k, t0 in enumerate(samples):
-        tau = SiegelPoint(genus, t0 * np.eye(genus))
-        moms = batch_moments([a, b], tau, eps, order=2)
-        eta = (_psi_from_moments(b, moms[b]) - _psi_from_moments(a, moms[a])).det()
+        data = _PointData(SiegelPoint(genus, t0 * np.eye(genus)), eps, positions=(0, b))
+        eta = (data.psi[b] - data.psi[0]).det()
         d = genus1_data(t0, eps)
         diff = d["psi_10"] - d["psi_00"]
         check.add(abs(eta - diff**genus), max(abs(eta), abs(diff) ** genus),
@@ -617,7 +604,7 @@ def check_gopel_quartet(
     the fifteen Gopel systems, as quartic forms."""
     check = IdentityCheck("gopel_quartet", genus, plan.count, plan.seed, tol)
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _EvenData(tau, eps, order=4)
+        data = _PointData(tau, eps, order=4)
         for members in data.table.gopel:
             lhs = reduce(operator.add, (data.delta_psi[m] for m in members))
             total = reduce(operator.add, (data.psi[m] for m in members))
@@ -644,7 +631,7 @@ def check_gopel_single(
     pair = table.pairing.tolist()
     owners = {a: [gi for gi, G in enumerate(table.gopel) if a in G] for a in table.even}
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _EvenData(tau, eps, order=4)
+        data = _PointData(tau, eps, order=4)
         sum_all = reduce(operator.add, data.psi.values())
         sum_all_sq = QuarticForm.from_quadratic_product(sum_all, sum_all)
         sum_sq = reduce(operator.add, data.psi_sq.values())
@@ -652,7 +639,7 @@ def check_gopel_single(
         for members in table.gopel:
             s = reduce(operator.add, (data.psi[m] for m in members))
             gopel_sq.append(QuarticForm.from_quadratic_product(s, s))
-        for a in data.evens:
+        for a in data.positions:
             lhs = data.delta_psi[a]
             rhs = (
                 (-2.0) * data.psi_sq[a]
@@ -669,7 +656,7 @@ def check_gopel_single(
             # consistency with the second-order system: same left side,
             # right side assembled from the pairing-signed fourth powers
             rhs3 = (-2.0) * data.psi_sq[a]
-            for b in data.evens:
+            for b in data.positions:
                 rhs3 = rhs3 + ((-1) ** pair[a][b] * (data.value[b] / data.value[a]) ** 4) * data.psi_sq[b]
             check.add(
                 (rhs - rhs3).max_abs(),
@@ -749,17 +736,38 @@ _SIX_LINES = [
 ]
 
 
-def _fail_on_sign_flips(check: IdentityCheck, flips: dict, what: str):
-    """A sign that flips across samples fails the check, and the witness
-    names each flipped key with the samples where it flipped."""
-    if flips:
-        check.status = "fail"
-        check.witness = "sign flip " + "; ".join(
-            f"{what}={key} at sample={','.join(map(str, ks))}" for key, ks in flips.items()
-        )
+class _EmpiricalSigns:
+    """Per-key signs of ratios that are +-1 up to rounding.  The first
+    sample's sign of each key is recorded in the notes; a sign that flips
+    at a later sample fails the check, and the witness names each flipped
+    key with the samples where it flipped."""
+
+    def __init__(self, what: str):
+        self.what = what
+        self.signs: dict[str, int] = {}
+        self.flips: dict[str, list[int]] = {}
+
+    def resolve(self, key: str, ratio: complex, k: int) -> int:
+        """The sign of ratio at sample k."""
+        sgn = 1 if abs(ratio - 1) < abs(ratio + 1) else -1
+        if self.signs.setdefault(key, sgn) != sgn:
+            self.flips.setdefault(key, []).append(k)
+        return sgn
+
+    def finish(self, check: IdentityCheck) -> IdentityCheck:
+        check.notes["signs"] = self.signs
+        check.notes["signs_consistent_across_samples"] = not self.flips
+        check.finish()
+        if self.flips:
+            check.status = "fail"
+            check.witness = "sign flip " + "; ".join(
+                f"{self.what}={key} at sample={','.join(map(str, ks))}"
+                for key, ks in self.flips.items()
+            )
+        return check
 
 
-def _eta_from_psi(data: "_EvenData", a: int, b: int) -> complex:
+def _eta_from_psi(data: _PointData, a: int, b: int) -> complex:
     return (data.psi[a] - data.psi[b]).det()
 
 
@@ -771,7 +779,7 @@ def check_eta_explicit(
     through the quadratic relations."""
     check = IdentityCheck("genus2_eta_explicit", genus, plan.count, plan.seed, tol)
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _EvenData(tau, eps, order=2)
+        data = _PointData(tau, eps)
         t = {data.label(a): v for a, v in data.value.items()}
         for la, lb, sgn, nums in _SIX_LINES:
             eta = _eta_from_psi(data, digit_decode(la).code, digit_decode(lb).code)
@@ -799,35 +807,27 @@ def check_eta_product(
     cancellation only theta_a^2 theta_b^2 remains in the denominator."""
     check = IdentityCheck("genus2_eta_product", genus, plan.count, plan.seed, tol)
     systems = char_table(genus).gopel
-    signs: dict[str, int] = {}
-    flips: dict[str, list[int]] = {}
+    signs = _EmpiricalSigns("pair")
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _EvenData(tau, eps, order=2)
+        data = _PointData(tau, eps)
         prod_all = 1.0 + 0.0j
-        for a in data.evens:
+        for a in data.positions:
             prod_all *= data.value[a] ** 2
-        for a, b in itertools.combinations(data.evens, 2):
+        for a, b in itertools.combinations(data.positions, 2):
             through = [G for G in systems if a in G and b in G]
             unsigned = prod_all / 16.0
             for G in through:
                 for d in G:
                     unsigned /= data.value[d] ** 2
             eta = _eta_from_psi(data, a, b)
-            ratio = eta / unsigned
-            sgn = 1 if abs(ratio - 1) < abs(ratio + 1) else -1
             key = f"{data.label(a)},{data.label(b)}"
-            if signs.setdefault(key, sgn) != sgn:  # keep the first sign, note flips
-                flips.setdefault(key, []).append(k)
+            sgn = signs.resolve(key, eta / unsigned, k)
             check.add(
                 abs(eta - sgn * unsigned),
                 max(abs(eta), abs(unsigned)),
                 f"sample={k} pair={key}",
             )
-    check.notes["signs"] = signs
-    check.notes["signs_consistent_across_samples"] = not flips
-    check.finish()
-    _fail_on_sign_flips(check, flips, "pair")
-    return check
+    return signs.finish(check)
 
 
 def check_power72(
@@ -838,32 +838,26 @@ def check_power72(
     characteristic and recorded.  Both sides are compared through their
     logarithms (the raw products traverse ~90 orders of magnitude)."""
     check = IdentityCheck("genus2_power72", genus, plan.count, plan.seed, tol)
-    signs: dict[str, int] = {}
-    flips: dict[str, list[int]] = {}
+    signs = _EmpiricalSigns("a")
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _EvenData(tau, eps, order=2)
+        data = _PointData(tau, eps)
         etas = {}
-        for a, b in itertools.combinations(data.evens, 2):
+        for a, b in itertools.combinations(data.positions, 2):
             etas[(a, b)] = _eta_from_psi(data, a, b)
         log_pairs = sum(np.log(complex(v)) for v in etas.values())
-        for a in data.evens:
+        for a in data.positions:
             log_lhs = 72.0 * np.log(complex(data.value[a]))
             log_rhs = 72.0 * math.log(2.0) + log_pairs
-            for b in data.evens:
+            for b in data.positions:
                 if b == a:
                     continue
                 key = (a, b) if (a, b) in etas else (b, a)
                 log_rhs -= 3.0 * np.log(complex(etas[key]))
             ratio = complex(np.exp(log_lhs - log_rhs))
-            sgn = 1 if abs(ratio - 1) < abs(ratio + 1) else -1
-            if signs.setdefault(data.label(a), sgn) != sgn:
-                flips.setdefault(data.label(a), []).append(k)
+            sgn = signs.resolve(data.label(a), ratio, k)
             check.add(abs(ratio - sgn), 1.0, f"sample={k} a={data.label(a)}")
-    check.notes["signs"] = signs
-    check.notes["signs_consistent_across_samples"] = not flips
+    signs.finish(check)
     check.notes["residual_definition"] = "|lhs/rhs - sign| via log-space evaluation"
-    check.finish()
-    _fail_on_sign_flips(check, flips, "a")
     return check
 
 
@@ -871,7 +865,7 @@ def check_power72(
 # chi relation and leading coefficient; phi relation and its collapse
 # ----------------------------------------------------------------------
 
-def _psi123(data: "_EvenData", label: str) -> tuple[complex, complex, complex]:
+def _psi123(data: _PointData, label: str) -> tuple[complex, complex, complex]:
     p = data.psi[digit_decode(label).code]
     return complex(p[0, 0]), complex(p[1, 1]), complex(p[0, 1])
 
@@ -888,7 +882,7 @@ def check_chi_relation(
     lead_expected = -3.0 / 256.0
     lead_values = []
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _EvenData(tau, eps, order=2)
+        data = _PointData(tau, eps)
         t = {data.label(a): v for a, v in data.value.items()}
         p00, p01, p02 = _psi123(data, "00"), _psi123(data, "01"), _psi123(data, "02")
 
@@ -958,34 +952,19 @@ def check_phi_relation(
     symmetric partner obtained by swapping the two diagonal slots)."""
     check = IdentityCheck("phi_relation", genus, plan.count, plan.seed, tol)
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _EvenData(tau, eps, order=2)
-        p = {lbl: _psi123(data, lbl) for lbl in ("00", "01", "02", "03")}
-
-        def eta(a, b):
-            return (p[a][0] - p[b][0]) * (p[a][1] - p[b][1]) - (p[a][2] - p[b][2]) ** 2
-
-        for slot in (0, 1):
-            def d(a, b):
-                return p[a][slot] - p[b][slot]
-
-            def phi(x, y, z):
-                return (
-                    d(z, x) * d(x, y) * eta(y, z)
-                    + d(y, z) * d(x, y) * eta(z, x)
-                    + d(y, z) * d(z, x) * eta(x, y)
-                )
-
-            phis = [
-                phi("01", "02", "03"),
-                phi("00", "02", "03"),
-                phi("00", "01", "03"),
-                phi("00", "01", "02"),
-            ]
+        data = _PointData(tau, eps)
+        psi = {
+            (lbl, j + 1): x
+            for lbl in ("00", "01", "02", "03")
+            for j, x in enumerate(_psi123(data, lbl))
+        }
+        for slot in (1, 2):
+            phis = phi_expressions(psi, slot)
             inner = sum(phis) ** 2 - 2 * sum(ph**2 for ph in phis)
             lhs = inner**2
             rhs = 64 * phis[0] * phis[1] * phis[2] * phis[3]
             scale = max(abs(lhs), abs(rhs), max(abs(ph) for ph in phis) ** 4)
-            check.add(abs(lhs - rhs), scale, f"sample={k} slot={slot + 1}")
+            check.add(abs(lhs - rhs), scale, f"sample={k} slot={slot}")
     return check.finish()
 
 
@@ -1000,13 +979,14 @@ def check_phi_leading(
     check = IdentityCheck(
         "phi_leading", genus, plan.count, plan.seed, effective_tol("phi_leading", tol)
     )
+    k00, k01, k02 = (digit_decode(lbl).code for lbl in ("00", "01", "02"))
     scalars = [1j] + plan.scalar_taus()[:5]
     for k, t0 in enumerate(scalars):
         tau = SiegelPoint(genus, t0 * np.eye(genus))
-        psis = _psi_by_label(tau, ("00", "01", "02"), eps)
-        e1 = (psis["00"] - psis["01"]).det()
-        e2 = (psis["00"] - psis["02"]).det()
-        e3 = (psis["01"] - psis["02"]).det()
+        psi = _PointData(tau, eps, positions=(k00, k01, k02)).psi
+        e1 = (psi[k00] - psi[k01]).det()
+        e2 = (psi[k00] - psi[k02]).det()
+        e3 = (psi[k01] - psi[k02]).det()
         lead = ((e1 + e2 + e3) ** 2 - 2 * (e1**2 + e2**2 + e3**2)) ** 2
         d = genus1_data(t0, eps)
         expected = d["theta_10"] ** 32 / 16**4

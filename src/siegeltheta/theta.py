@@ -249,12 +249,6 @@ def _imag_norm(z, genus: int) -> float:
     return float(np.linalg.norm(zz.imag))
 
 
-def _box_radius(tau: SiegelPoint, z, a: Characteristic, eps_by_weight) -> TruncationResult:
-    """Radius certifying each weight w to eps_by_weight[w], with the value's bound."""
-    nrad, bounds = _radius_scan(tau, z, a.a_prime, dict(enumerate(eps_by_weight)))
-    return TruncationResult(nrad, bounds[0])
-
-
 # ----------------------------------------------------------------------
 # lattice enumeration and exact summation
 # ----------------------------------------------------------------------
@@ -414,15 +408,16 @@ def theta_jet(a: Characteristic, z, tau: SiegelPoint, eps: float = DEFAULT_EPS) 
     _check_char(a, tau)
     g = tau.genus
     two_pi = 2.0 * math.pi
-    box = _box_radius(tau, z, a, (eps, eps / two_pi, eps / two_pi**2))
+    eps_by_weight = dict(enumerate((eps, eps / two_pi, eps / two_pi**2)))
+    nrad, bounds = _radius_scan(tau, z, a.a_prime, eps_by_weight)
     pairs = list(itertools.combinations_with_replacement(range(g), 2))
     monomials = [(), *((j,) for j in range(g)), *pairs]
-    sums = _coset_sums([a], z, tau, box.radius, monomials)[a]
+    sums = _coset_sums([a], z, tau, nrad, monomials)[a]
     grad = np.array([2j * math.pi * sums[(j,)] for j in range(g)])
     hess = np.empty((g, g), dtype=complex)
     for j, l in pairs:
         hess[j, l] = hess[l, j] = (2j * math.pi) ** 2 * sums[(j, l)]
-    return ThetaJet(sums[()], grad, hess, box.bound)
+    return ThetaJet(sums[()], grad, hess, bounds[0])
 
 
 def theta_values(
@@ -461,10 +456,11 @@ def batch_moments(
         if k <= order
         for mono in itertools.combinations_with_replacement(range(g), k)
     ]
+    eps_by_weight = dict.fromkeys(range(order + 1), eps)
     out: dict[Characteristic, Moments] = {}
     for coset in _cosets(chars, tau):
-        box = _box_radius(tau, None, coset[0], (eps,) * (order + 1))
-        for a, sums in _coset_sums(coset, None, tau, box.radius, monomials).items():
+        nrad, bounds = _radius_scan(tau, None, coset[0].a_prime, eps_by_weight)
+        for a, sums in _coset_sums(coset, None, tau, nrad, monomials).items():
             t1 = np.array([sums[(j,)] for j in range(g)])
             t2 = np.zeros((g, g), dtype=complex)
             t4 = {}
@@ -473,7 +469,7 @@ def batch_moments(
                     t2[key] = t2[key[::-1]] = s
                 elif len(key) == 4:
                     t4[key] = s
-            out[a] = Moments(sums[()], t1, t2, t4, box.bound, box.radius)
+            out[a] = Moments(sums[()], t1, t2, t4, bounds[0], nrad)
     return out
 
 

@@ -101,7 +101,7 @@ def test_kernel_refusal_is_a_check_error_not_the_end_of_the_campaign(
 ):
     def near_divisor(genus, plan, eps, tol):
         # thetanull 33 vanishes at every diagonal genus-2 point
-        identities._EvenData(SiegelPoint(2, np.diag([0.3 + 1.1j, -0.2 + 0.9j])), eps)
+        identities._PointData(SiegelPoint(2, np.diag([0.3 + 1.1j, -0.2 + 0.9j])), eps).psi
 
     def over_budget(genus, plan, eps, tol):
         truncation_radius(SiegelPoint(3, 1e-3j * np.eye(3)), None, eps, weight=4)

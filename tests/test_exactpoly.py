@@ -11,6 +11,7 @@ from siegeltheta.exactpoly import (
     gopel_sum_defect,
     gopel_sum_defects_by_system,
     phi_combination,
+    phi_expressions,
     phi_polynomials,
     verify_phi_identity,
     verify_chi_identity,
@@ -114,6 +115,16 @@ def test_hash_agrees_with_equality():
     assert len({x, x_in_xy}) == 1
 
 
+def test_equality_with_a_non_number_is_false():
+    x, = RationalPoly.ring(["x"])
+    for other in (None, "a", object(), 1j):
+        assert (x == other) is False
+        assert x != other
+    assert x not in [None, "a"]
+    assert x in [None, x]
+    assert RationalPoly.constant(3) == 3 and 3 == RationalPoly.constant(3)
+
+
 def test_variable_merge_by_name():
     x, = RationalPoly.ring(["x"])
     y, = RationalPoly.ring(["y"])
@@ -195,6 +206,20 @@ def test_phi_identity_holds_and_mutation_breaks():
 def test_phi_slot2_partner_also_holds():
     poly, _ = phi_combination(slot=2)
     assert poly.is_zero()
+
+
+@pytest.mark.parametrize("slot", [1, 2])
+def test_phi_expressions_on_numbers_evaluate_the_phi_polynomials(slot):
+    # the one phi builder gives the same values over numbers as the
+    # expanded polynomials at the same point
+    k0 = ("00", "01", "02", "03")
+    psi = {(a, j): Fraction((7 * i + 3) ** j % 11 - 5, i + j) for i, a in enumerate(k0) for j in (1, 2, 3)}
+    assignment = {f"psi_{a}_{j}": v for (a, j), v in psi.items()}
+    expected = [p.evaluate(assignment) for p in phi_polynomials(slot)]
+    assert phi_expressions(psi, slot) == expected
+    assert any(expected)
+    with pytest.raises(ValueError):
+        phi_expressions(psi, 3)
 
 
 def test_phi_polynomials_shape():

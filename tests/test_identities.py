@@ -4,6 +4,15 @@ import numpy as np
 import pytest
 
 from siegeltheta import identities
+from siegeltheta.characteristics import char_table
+from siegeltheta.siegel import SiegelPoint
+from siegeltheta.theta import (
+    NearZeroThetanull,
+    QuarticForm,
+    _delta_psi_from_moments,
+    _psi_from_moments,
+    batch_moments,
+)
 from siegeltheta.identities import (
     REGISTRY,
     IdentityCheck,
@@ -273,3 +282,51 @@ def test_sign_flip_witness_names_the_flipped_characteristics(monkeypatch):
     assert check.max_rel_residual < check.tolerance
     flipped = ("02", "03", "10", "12", "20", "21", "30", "33")
     assert check.witness == "sign flip " + "; ".join(f"a={x} at sample=1" for x in flipped)
+
+
+def _bits(*arrays) -> list[str]:
+    return [float.hex(x) for arr in arrays for v in np.ravel(arr) for x in (v.real, v.imag)]
+
+
+def _moment_bits(m) -> list[str]:
+    return _bits(m.value, m.t1, m.t2, [m.t4[key] for key in sorted(m.t4)]) + [
+        float.hex(m.tail_bound), str(m.radius)
+    ]
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_point_record_matches_direct_moments(genus):
+    # the record reads one batch of moments and forms psi, delta(psi) and
+    # psi^2 exactly as the kernel's own helpers do, bit for bit
+    table = char_table(genus)
+    tau = SamplePlan(seed=5, count=1).tau_points(genus)[0]
+    eps = 1e-14
+    for order, positions in ((4, None), (2, table.even[1::2]), (1, table.odd)):
+        data = identities._PointData(tau, eps, order=order, positions=positions)
+        expected = table.even if positions is None else positions
+        chars = [table.chars[i] for i in expected]
+        moments = batch_moments(chars, tau, eps, order=order)
+        assert list(data.moments) == list(data.value) == list(expected)
+        for i, a in zip(expected, chars):
+            assert _moment_bits(data.moments[i]) == _moment_bits(moments[a])
+            assert _bits(data.value[i]) == _bits(moments[a].value)
+        if order == 1:
+            continue
+        for i, a in zip(expected, chars):
+            psi = _psi_from_moments(a, moments[a])
+            assert _bits(data.psi[i].coefficients) == _bits(psi.coefficients)
+            if order == 4:
+                square = QuarticForm.from_quadratic_product(psi, psi)
+                delta = _delta_psi_from_moments(moments[a])
+                assert _bits(data.psi_sq[i].coefficients) == _bits(square.coefficients)
+                assert _bits(data.delta_psi[i].coefficients) == _bits(delta.coefficients)
+
+
+def test_point_record_guards_psi_on_first_read():
+    # thetanull 33 vanishes at every diagonal genus-2 point: the values
+    # are read, and only psi refuses
+    data = identities._PointData(SiegelPoint(2, np.diag([0.3 + 1.1j, -0.2 + 0.9j])), 1e-14)
+    assert len(data.value) == 10
+    assert all(np.isfinite(v) for v in data.value.values())
+    with pytest.raises(NearZeroThetanull, match="thetanull 33"):
+        data.psi

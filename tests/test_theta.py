@@ -24,8 +24,8 @@ from siegeltheta.theta import (
     theta_moments,
     theta_values,
     truncation_radius,
-    _box_radius,
     _box_tails,
+    _radius_scan,
     _delta_psi_from_moments,
     _exp_terms,
     _lattice_two_m,
@@ -144,11 +144,11 @@ def test_box_radius_is_the_largest_per_weight_radius():
             assert [r.radius for r in own] == [
                 _first_certified_radius(pt, z, e, w, a) for w, e in enumerate(eps_by_weight)
             ]
-            box = _box_radius(pt, z, a, eps_by_weight)
-            assert box.radius == max(r.radius for r in own)
-            assert box.bound <= own[0].bound
-            if own[0].radius == box.radius:
-                assert box.bound == own[0].bound
+            nrad, bounds = _radius_scan(pt, z, a.a_prime, dict(enumerate(eps_by_weight)))
+            assert nrad == max(r.radius for r in own)
+            assert bounds[0] <= own[0].bound
+            if own[0].radius == nrad:
+                assert bounds[0] == own[0].bound
 
 
 # ----------------------------------------------------------------------
