@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
+import math
 import os
 import sys
 import time
@@ -56,8 +58,10 @@ class RunConfig:
     def __post_init__(self):
         if not (1 <= self.genus <= 3):
             raise ValueError("genus must be 1, 2 or 3")
-        if self.samples <= 0 or self.eps <= 0 or self.tol <= 0 or self.workers <= 0:
-            raise ValueError("samples, eps, tol and workers must be positive")
+        if self.samples <= 0 or self.workers <= 0:
+            raise ValueError("samples and workers must be positive")
+        if not (0 < self.eps < math.inf and 0 < self.tol < math.inf):
+            raise ValueError("eps and tol must be finite and positive")
         unknown = [n for n in self.identities if n not in REGISTRY]
         if unknown:
             raise KeyError(f"unknown identities: {', '.join(unknown)}")
@@ -98,8 +102,7 @@ class CampaignReport:
 
 
 def _pool_run(args):
-    name, genus, plan_json, eps, tol = args
-    plan = SamplePlan(**plan_json)
+    name, genus, plan, eps, tol = args
     t0 = time.perf_counter()
     try:
         check = run_check(name, genus, plan, eps, tol)
@@ -112,20 +115,15 @@ def _pool_run(args):
 
 def run_campaign(config: RunConfig) -> CampaignReport:
     names = config.identities or checks_for_genus(config.genus)
-    tasks = [
-        (name, config.genus, config.plan().to_json(), config.eps, config.tol)
-        for name in names
-    ]
-    checks = []
-    times = {}
-    if config.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for name, check, dt in pool.map(_pool_run, tasks):
-                checks.append(check)
-                times[name] = dt
-    else:
-        for task in tasks:
-            name, check, dt = _pool_run(task)
+    plan = config.plan()
+    tasks = [(name, config.genus, plan, config.eps, config.tol) for name in names]
+    checks, times = [], {}
+    with contextlib.ExitStack() as stack:
+        run = map
+        if config.workers > 1:
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=config.workers)
+            run = stack.enter_context(pool).map
+        for name, check, dt in run(_pool_run, tasks):
             checks.append(check)
             times[name] = dt
     return CampaignReport(config, checks, times)

@@ -49,7 +49,7 @@ consistency lemma:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from numbers import Real
 
 from .characteristics import digit_encode, enumerate_characteristics, gopel_systems
@@ -277,6 +277,8 @@ class RationalPoly:
         if not isinstance(other, RationalPoly):
             if not isinstance(other, Real):
                 return NotImplemented
+            if other != other or abs(other) == inf:
+                return False  # nan or an infinity: no rational constant equals it
             other = RationalPoly.constant(other, self.variables)
         a, b = self._common(self, other)
         return a._den == b._den and a._num == b._num

@@ -95,7 +95,7 @@ def genus1_data(tau: complex, eps: float = DEFAULT_EPS) -> dict:
     out = {}
     for name, ch in (("00", _C00), ("01", _C01), ("10", _C10)):
         out["theta_" + name] = moms[ch].value
-        out["psi_" + name] = complex(theta._psi_from_moments(ch, moms[ch])[0, 0])
+        out["psi_" + name] = complex(moms[ch].psi[0, 0])
     return out
 
 

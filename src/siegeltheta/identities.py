@@ -18,10 +18,10 @@ check the kernel refuses.
 
 The checks index characteristics by position in characteristics.char_table
 and read sums, parities and signs from it.  Every z = 0 datum reaches a
-check through one point record, _PointData: one batch of moments at one
-tau, with values, moments, psi matrices and quartic forms keyed by those
-positions.  psi and the forms built on it are formed on first use, so
-the near-zero guard of the kernel fires only in checks that read psi.
+check through one point record, _point: one batch of moments at one tau,
+a dict of theta.Moments keyed by those positions.  A Moments forms its
+psi, delta_psi and psi_sq on first read, so the near-zero guard of the
+kernel fires only in checks that read psi.
 
 The registry at the bottom maps stable check names to these functions
 and their supported genera; run_check is the one place that refuses a
@@ -36,7 +36,7 @@ import math
 import operator
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -49,14 +49,7 @@ from .characteristics import (
 )
 from .exactpoly import phi_expressions
 from .siegel import SiegelPoint, act, cocycle_factor, random_gamma_48
-from .theta import (
-    DEFAULT_EPS,
-    QuarticForm,
-    _delta_psi_from_moments,
-    _psi_from_moments,
-    batch_moments,
-    theta_values,
-)
+from .theta import DEFAULT_EPS, Moments, QuarticForm, batch_moments, theta_values
 from .halphen import genus1_data
 
 __all__ = [
@@ -216,42 +209,15 @@ def effective_tol(name: str, tol: float) -> float:
 # the point record
 # ----------------------------------------------------------------------
 
-class _PointData:
-    """z = 0 data at one tau from one batch of moments, keyed by position
-    in char_table: the characteristics at positions (every even one by
-    default), their moments to the given order and their values.
-
-    psi, delta_psi and psi_sq are formed on first use.  psi is only
-    meaningful away from the theta divisors: reading it raises
-    NearZeroThetanull when a thetanull lies within 10^3 of its certified
-    tail bound (the guard of the kernel), and delta_psi and psi_sq read
-    it first.
-    """
-
-    def __init__(self, tau: SiegelPoint, eps: float, order: int = 2, positions=None):
-        self.tau = tau
-        self.table = char_table(tau.genus)
-        self.positions = self.table.even if positions is None else positions
-        chars = [self.table.chars[i] for i in self.positions]
-        moments = batch_moments(chars, tau, eps, order=order)
-        self.moments = {i: moments[a] for i, a in zip(self.positions, chars)}
-        self.value = {i: m.value for i, m in self.moments.items()}
-
-    @cached_property
-    def psi(self) -> dict:
-        return {i: _psi_from_moments(self.table.chars[i], m) for i, m in self.moments.items()}
-
-    @cached_property
-    def delta_psi(self) -> dict:
-        self.psi  # the near-zero guard
-        return {i: _delta_psi_from_moments(m) for i, m in self.moments.items()}
-
-    @cached_property
-    def psi_sq(self) -> dict:
-        return {i: QuarticForm.from_quadratic_product(p, p) for i, p in self.psi.items()}
-
-    def label(self, a: int) -> str:
-        return self.table.chars[a].label()
+def _point(tau: SiegelPoint, eps: float, order: int = 2, positions=None) -> dict[int, Moments]:
+    """z = 0 data at one tau from one batch of moments: the Moments of the
+    characteristics at positions in char_table (every even one by
+    default), to the given order, keyed by position in that order."""
+    table = char_table(tau.genus)
+    positions = table.even if positions is None else positions
+    chars = [table.chars[i] for i in positions]
+    moments = batch_moments(chars, tau, eps, order=order)
+    return {i: moments[a] for i, a in zip(positions, chars)}
 
 
 def _quartic_scale(*forms: QuarticForm) -> float:
@@ -318,7 +284,7 @@ def check_heat_equation(
     evens = [table.chars[i] for i in table.even]
     h = _FD_STEP
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _PointData(tau, eps)
+        data = _point(tau, eps)
         for j in range(genus):
             for l in range(j, genus):
                 shift = np.zeros((genus, genus))
@@ -330,8 +296,8 @@ def check_heat_equation(
                 norm = 1j * math.pi if j == l else 2j * math.pi
                 for i, a in zip(table.even, evens):
                     fd = (vp[a] - vm[a]) / (2 * h) / norm
-                    exact = data.moments[i].t2[j, l]
-                    scale = max(abs(exact), abs(data.value[i]))
+                    exact = data[i].t2[j, l]
+                    scale = max(abs(exact), abs(data[i].value))
                     check.add(
                         abs(fd - exact),
                         scale,
@@ -356,24 +322,24 @@ def check_second_order_system(
     coeff = 1.0 / 2 ** (genus - 2)
     pair = char_table(genus).pairing.tolist()
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _PointData(tau, eps, order=4)
+        data = _point(tau, eps, order=4)
         rng = np.random.default_rng([plan.seed, genus, 97, k])
         u = rng.uniform(-1, 1, genus) + 1j * rng.uniform(-1, 1, genus)
-        for a in data.positions:
-            t_a4 = data.value[a] ** 4
-            lhs = t_a4 * data.delta_psi[a]
-            rhs = (-2 * t_a4) * data.psi_sq[a]
-            for b in data.positions:
-                rhs = rhs + (coeff * (-1) ** pair[a][b] * data.value[b] ** 4) * data.psi_sq[b]
+        for a, ma in data.items():
+            t_a4 = ma.value**4
+            lhs = t_a4 * ma.delta_psi
+            rhs = (-2 * t_a4) * ma.psi_sq
+            for b, mb in data.items():
+                rhs = rhs + (coeff * (-1) ** pair[a][b] * mb.value**4) * mb.psi_sq
             scale = _quartic_scale(lhs, rhs) + max(
-                coeff * abs(data.value[b] ** 4) * data.psi_sq[b].max_abs() for b in data.positions
+                coeff * abs(mb.value**4) * mb.psi_sq.max_abs() for mb in data.values()
             )
             diff = lhs - rhs
-            check.add(diff.max_abs(), scale, f"sample={k} a={data.label(a)} (coefficients)")
+            check.add(diff.max_abs(), scale, f"sample={k} a={ma.a.label()} (coefficients)")
             check.add(
                 abs(lhs.value_at(u) - rhs.value_at(u)),
                 scale * max(1.0, float(np.max(np.abs(u))) ** 4),
-                f"sample={k} a={data.label(a)} (value at u)",
+                f"sample={k} a={ma.a.label()} (value at u)",
             )
     return check.finish()
 
@@ -390,18 +356,18 @@ def _odd_gradient_sweep(check: IdentityCheck, plan: SamplePlan, eps: float, side
     genus = check.genus
     table = char_table(genus)
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _PointData(tau, eps)
-        odd = _PointData(tau, eps, order=1, positions=table.odd)
+        data = _point(tau, eps)
+        odd = _point(tau, eps, order=1, positions=table.odd)
         for a in table.odd:
             for j in range(genus):
-                lhs, terms = sides(data, a, odd.moments[a].t1[j], j)
+                lhs, terms = sides(data, a, odd[a].t1[j], j)
                 total = 0.0j
                 term_scale = abs(lhs)
                 for term in terms:
                     total += term
                     term_scale = max(term_scale, abs(term) / 2 ** (genus - 1))
                 rhs = total / 2 ** (genus - 1)
-                check.add(abs(lhs - rhs), term_scale, f"sample={k} a={odd.label(a)} j={j + 1}")
+                check.add(abs(lhs - rhs), term_scale, f"sample={k} a={odd[a].a.label()} j={j + 1}")
     return check.finish()
 
 
@@ -420,13 +386,13 @@ def check_odd_gradient_squared(
     add, cross, weight = table.add.tolist(), table.cross.tolist(), table.weight.tolist()
 
     def sides(data, a, grad_j, j):
-        t0 = data.value[0]  # position 0 is the zero characteristic
+        t0 = data[0].value  # position 0 is the zero characteristic
         terms = (
             (-1) ** cross[a][b]
-            * (data.value[add[a][b]] / t0) ** 2
-            * (data.value[b] / t0) ** 2
-            * (data.psi[add[a][b]][j, j] - data.psi[0][j, j])
-            for b in data.positions
+            * (data[add[a][b]].value / t0) ** 2
+            * (data[b].value / t0) ** 2
+            * (data[add[a][b]].psi[j, j] - data[0].psi[j, j])
+            for b in data
             if weight[add[a][b]] % 2 == 0  # otherwise the summand carries theta_{a+b}^2 = 0
         )
         return (grad_j / t0) ** 2, terms
@@ -454,8 +420,8 @@ def check_odd_gradient_fourth(
 
     def sides(data, a, grad_j, j):
         terms = (
-            (-1) ** weight[add[a][b]] * data.value[b] ** 4 * data.psi[b][j, j] ** 2
-            for b in data.positions
+            (-1) ** weight[add[a][b]] * mb.value**4 * mb.psi[j, j] ** 2
+            for b, mb in data.items()
         )
         return grad_j**4, terms
 
@@ -466,14 +432,21 @@ def check_odd_gradient_fourth(
 # transformation laws under the level-(4,8) theta group
 # ----------------------------------------------------------------------
 
-def _pair_laws(d: _PointData, pairs) -> list[tuple[np.ndarray, complex]]:
+def _pair_laws(data: dict[int, Moments], pairs) -> list[tuple[np.ndarray, complex]]:
     """Per pair (a, b): lambda_0 (psi_b - psi_a) with lambda_0 = theta_b / theta_a,
     and eta_{a,b} = det(psi_b - psi_a)."""
     out = []
     for a, b in pairs:
-        diff = d.psi[b] - d.psi[a]
-        out.append((d.value[b] / d.value[a] * diff.coefficients, diff.det()))
+        diff = data[b].psi - data[a].psi
+        out.append((data[b].value / data[a].value * diff.coefficients, diff.det()))
     return out
+
+
+def _legendre_derivative(data: dict[int, Moments]) -> complex:
+    """delta(lambda) = 4 lambda (psi_10 - psi_00) at a genus-1 point, with
+    lambda = (theta_10 / theta_00)^4; 00 and 10 are positions 0 and 2."""
+    lam = (data[2].value / data[0].value) ** 4
+    return 4 * lam * (complex(data[2].psi[0, 0]) - complex(data[0].psi[0, 0]))
 
 
 def check_transformation_laws(
@@ -489,7 +462,8 @@ def check_transformation_laws(
       eta_{a,b}(gamma tau) = det(C)^2 eta_{a,b}(tau),
 
     and at genus 1 additionally the weight-2 law for the normalized
-    derivative of the Legendre lambda function.
+    derivative of the Legendre lambda function, read from the same two
+    point records as the pair laws.
 
     Words whose cocycle pushes a transformed sample too deep into the
     half-space (tiny smallest eigenvalue of the imaginary part, hence an
@@ -511,17 +485,19 @@ def check_transformation_laws(
             gammas.append(gamma)
     if len(gammas) < _GAMMA_COUNT:
         raise RuntimeError("could not draw enough words with workable margins")
-    untransformed = {}  # per sample, built at first use to keep the kernel call order
+    # per sample (record, pair laws), built at first use to keep the kernel call order
+    untransformed = {}
     for kg, gamma in enumerate(gammas):
         for k, tau in enumerate(taus):
             gtau = act(gamma, tau)
             cmat = cocycle_factor(gamma, tau)
             detc2 = complex(np.linalg.det(cmat)) ** 2
             if k not in untransformed:
-                untransformed[k] = _pair_laws(_PointData(tau, eps), pairs)
-            for (a, b), (m0, eta0), (m1, eta1) in zip(
-                pairs, untransformed[k], _pair_laws(_PointData(gtau, eps), pairs)
-            ):
+                data0 = _point(tau, eps)
+                untransformed[k] = data0, _pair_laws(data0, pairs)
+            data0, laws0 = untransformed[k]
+            data1 = _point(gtau, eps)
+            for (a, b), (m0, eta0), (m1, eta1) in zip(pairs, laws0, _pair_laws(data1, pairs)):
                 pair = f"{table.chars[a].label()},{table.chars[b].label()}"
                 rhs = cmat @ m0 @ cmat.T
                 scale = max(np.abs(m1).max(), np.abs(rhs).max())
@@ -537,15 +513,8 @@ def check_transformation_laws(
                     f"gamma={kg} sample={k} pair={pair} (weight 2)",
                 )
             if genus == 1:
-                g0 = genus1_data(complex(tau.tau[0, 0]), eps)
-                g1 = genus1_data(complex(gtau.tau[0, 0]), eps)
-
-                def dlam(d):
-                    lam = (d["theta_10"] / d["theta_00"]) ** 4
-                    return 4 * lam * (d["psi_10"] - d["psi_00"])
-
-                lhs = dlam(g1)
-                rhs = detc2 * dlam(g0)
+                lhs = _legendre_derivative(data1)
+                rhs = detc2 * _legendre_derivative(data0)
                 check.add(
                     abs(lhs - rhs),
                     max(abs(lhs), abs(rhs)),
@@ -572,8 +541,8 @@ def check_weight2_diagonal(
     b = Characteristic(genus, (1,) * genus, (0,) * genus).code  # a = 0 is position 0
     samples = plan.scalar_taus() + [1j]
     for k, t0 in enumerate(samples):
-        data = _PointData(SiegelPoint(genus, t0 * np.eye(genus)), eps, positions=(0, b))
-        eta = (data.psi[b] - data.psi[0]).det()
+        data = _point(SiegelPoint(genus, t0 * np.eye(genus)), eps, positions=(0, b))
+        eta = _eta_from_psi(data, b, 0)
         d = genus1_data(t0, eps)
         diff = d["psi_10"] - d["psi_00"]
         check.add(abs(eta - diff**genus), max(abs(eta), abs(diff) ** genus),
@@ -604,17 +573,17 @@ def check_gopel_quartet(
     the fifteen Gopel systems, as quartic forms."""
     check = IdentityCheck("gopel_quartet", genus, plan.count, plan.seed, tol)
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _PointData(tau, eps, order=4)
-        for members in data.table.gopel:
-            lhs = reduce(operator.add, (data.delta_psi[m] for m in members))
-            total = reduce(operator.add, (data.psi[m] for m in members))
+        data = _point(tau, eps, order=4)
+        for members in char_table(genus).gopel:
+            lhs = reduce(operator.add, (data[m].delta_psi for m in members))
+            total = reduce(operator.add, (data[m].psi for m in members))
             rhs = QuarticForm.from_quadratic_product(total, total)
             for m in members:
-                rhs = rhs - 2.0 * data.psi_sq[m]
+                rhs = rhs - 2.0 * data[m].psi_sq
             check.add(
                 (lhs - rhs).max_abs(),
                 _quartic_scale(lhs, rhs),
-                f"sample={k} system={'+'.join(data.label(x) for x in members)}",
+                f"sample={k} system={'+'.join(data[x].a.label() for x in members)}",
             )
     return check.finish()
 
@@ -631,18 +600,18 @@ def check_gopel_single(
     pair = table.pairing.tolist()
     owners = {a: [gi for gi, G in enumerate(table.gopel) if a in G] for a in table.even}
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _PointData(tau, eps, order=4)
-        sum_all = reduce(operator.add, data.psi.values())
+        data = _point(tau, eps, order=4)
+        sum_all = reduce(operator.add, (m.psi for m in data.values()))
         sum_all_sq = QuarticForm.from_quadratic_product(sum_all, sum_all)
-        sum_sq = reduce(operator.add, data.psi_sq.values())
+        sum_sq = reduce(operator.add, (m.psi_sq for m in data.values()))
         gopel_sq = []
         for members in table.gopel:
-            s = reduce(operator.add, (data.psi[m] for m in members))
+            s = reduce(operator.add, (data[m].psi for m in members))
             gopel_sq.append(QuarticForm.from_quadratic_product(s, s))
-        for a in data.positions:
-            lhs = data.delta_psi[a]
+        for a, ma in data.items():
+            lhs = ma.delta_psi
             rhs = (
-                (-2.0) * data.psi_sq[a]
+                (-2.0) * ma.psi_sq
                 + (-1.0 / 3.0) * sum_sq
                 + (-1.0 / 6.0) * sum_all_sq
             )
@@ -651,17 +620,17 @@ def check_gopel_single(
             check.add(
                 (lhs - rhs).max_abs(),
                 max(_quartic_scale(lhs, rhs), sum_all_sq.max_abs() / 6.0),
-                f"sample={k} a={data.label(a)}",
+                f"sample={k} a={ma.a.label()}",
             )
             # consistency with the second-order system: same left side,
             # right side assembled from the pairing-signed fourth powers
-            rhs3 = (-2.0) * data.psi_sq[a]
-            for b in data.positions:
-                rhs3 = rhs3 + ((-1) ** pair[a][b] * (data.value[b] / data.value[a]) ** 4) * data.psi_sq[b]
+            rhs3 = (-2.0) * ma.psi_sq
+            for b, mb in data.items():
+                rhs3 = rhs3 + ((-1) ** pair[a][b] * (mb.value / ma.value) ** 4) * mb.psi_sq
             check.add(
                 (rhs - rhs3).max_abs(),
                 _quartic_scale(rhs, rhs3),
-                f"sample={k} a={data.label(a)} (vs second-order system)",
+                f"sample={k} a={ma.a.label()} (vs second-order system)",
             )
     return check.finish()
 
@@ -767,8 +736,9 @@ class _EmpiricalSigns:
         return check
 
 
-def _eta_from_psi(data: _PointData, a: int, b: int) -> complex:
-    return (data.psi[a] - data.psi[b]).det()
+def _eta_from_psi(data: dict[int, Moments], a: int, b: int) -> complex:
+    """det(psi_a - psi_b); det(psi_b - psi_a) is (-1)^g times it."""
+    return (data[a].psi - data[b].psi).det()
 
 
 def check_eta_explicit(
@@ -779,8 +749,8 @@ def check_eta_explicit(
     through the quadratic relations."""
     check = IdentityCheck("genus2_eta_explicit", genus, plan.count, plan.seed, tol)
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _PointData(tau, eps)
-        t = {data.label(a): v for a, v in data.value.items()}
+        data = _point(tau, eps)
+        t = {m.a.label(): m.value for m in data.values()}
         for la, lb, sgn, nums in _SIX_LINES:
             eta = _eta_from_psi(data, digit_decode(la).code, digit_decode(lb).code)
             rhs = sgn / 16.0
@@ -809,18 +779,18 @@ def check_eta_product(
     systems = char_table(genus).gopel
     signs = _EmpiricalSigns("pair")
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _PointData(tau, eps)
+        data = _point(tau, eps)
         prod_all = 1.0 + 0.0j
-        for a in data.positions:
-            prod_all *= data.value[a] ** 2
-        for a, b in itertools.combinations(data.positions, 2):
+        for m in data.values():
+            prod_all *= m.value**2
+        for a, b in itertools.combinations(data, 2):
             through = [G for G in systems if a in G and b in G]
             unsigned = prod_all / 16.0
             for G in through:
                 for d in G:
-                    unsigned /= data.value[d] ** 2
+                    unsigned /= data[d].value ** 2
             eta = _eta_from_psi(data, a, b)
-            key = f"{data.label(a)},{data.label(b)}"
+            key = f"{data[a].a.label()},{data[b].a.label()}"
             sgn = signs.resolve(key, eta / unsigned, k)
             check.add(
                 abs(eta - sgn * unsigned),
@@ -840,22 +810,22 @@ def check_power72(
     check = IdentityCheck("genus2_power72", genus, plan.count, plan.seed, tol)
     signs = _EmpiricalSigns("a")
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _PointData(tau, eps)
+        data = _point(tau, eps)
         etas = {}
-        for a, b in itertools.combinations(data.positions, 2):
+        for a, b in itertools.combinations(data, 2):
             etas[(a, b)] = _eta_from_psi(data, a, b)
         log_pairs = sum(np.log(complex(v)) for v in etas.values())
-        for a in data.positions:
-            log_lhs = 72.0 * np.log(complex(data.value[a]))
+        for a, ma in data.items():
+            log_lhs = 72.0 * np.log(complex(ma.value))
             log_rhs = 72.0 * math.log(2.0) + log_pairs
-            for b in data.positions:
+            for b in data:
                 if b == a:
                     continue
                 key = (a, b) if (a, b) in etas else (b, a)
                 log_rhs -= 3.0 * np.log(complex(etas[key]))
             ratio = complex(np.exp(log_lhs - log_rhs))
-            sgn = signs.resolve(data.label(a), ratio, k)
-            check.add(abs(ratio - sgn), 1.0, f"sample={k} a={data.label(a)}")
+            sgn = signs.resolve(ma.a.label(), ratio, k)
+            check.add(abs(ratio - sgn), 1.0, f"sample={k} a={ma.a.label()}")
     signs.finish(check)
     check.notes["residual_definition"] = "|lhs/rhs - sign| via log-space evaluation"
     return check
@@ -865,8 +835,8 @@ def check_power72(
 # chi relation and leading coefficient; phi relation and its collapse
 # ----------------------------------------------------------------------
 
-def _psi123(data: _PointData, label: str) -> tuple[complex, complex, complex]:
-    p = data.psi[digit_decode(label).code]
+def _psi123(data: dict[int, Moments], label: str) -> tuple[complex, complex, complex]:
+    p = data[digit_decode(label).code].psi
     return complex(p[0, 0]), complex(p[1, 1]), complex(p[0, 1])
 
 
@@ -882,8 +852,8 @@ def check_chi_relation(
     lead_expected = -3.0 / 256.0
     lead_values = []
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _PointData(tau, eps)
-        t = {data.label(a): v for a, v in data.value.items()}
+        data = _point(tau, eps)
+        t = {m.a.label(): m.value for m in data.values()}
         p00, p01, p02 = _psi123(data, "00"), _psi123(data, "01"), _psi123(data, "02")
 
         def combination(u: complex) -> complex:
@@ -952,7 +922,7 @@ def check_phi_relation(
     symmetric partner obtained by swapping the two diagonal slots)."""
     check = IdentityCheck("phi_relation", genus, plan.count, plan.seed, tol)
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _PointData(tau, eps)
+        data = _point(tau, eps)
         psi = {
             (lbl, j + 1): x
             for lbl in ("00", "01", "02", "03")
@@ -983,10 +953,10 @@ def check_phi_leading(
     scalars = [1j] + plan.scalar_taus()[:5]
     for k, t0 in enumerate(scalars):
         tau = SiegelPoint(genus, t0 * np.eye(genus))
-        psi = _PointData(tau, eps, positions=(k00, k01, k02)).psi
-        e1 = (psi[k00] - psi[k01]).det()
-        e2 = (psi[k00] - psi[k02]).det()
-        e3 = (psi[k01] - psi[k02]).det()
+        data = _point(tau, eps, positions=(k00, k01, k02))
+        e1 = _eta_from_psi(data, k00, k01)
+        e2 = _eta_from_psi(data, k00, k02)
+        e3 = _eta_from_psi(data, k01, k02)
         lead = ((e1 + e2 + e3) ** 2 - 2 * (e1**2 + e2**2 + e3**2)) ** 2
         d = genus1_data(t0, eps)
         expected = d["theta_10"] ** 32 / 16**4

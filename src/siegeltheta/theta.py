@@ -47,9 +47,12 @@ characteristics give value and Hessian exactly 0 at z = 0, even ones
 give gradient exactly 0), and every other monomial is the fsum of the
 origin term once and of twice the terms after it.  Doubling is exact and
 leaves the exact sum as it was, so the fold returns the bits of the
-full-box sum from half the exponentials.  psi_a is formed only by
-_psi_from_moments, which refuses a thetanull within 10^3 of its
-certified tail bound.
+full-box sum from half the exponentials.
+
+A Moments record is the thetanull data of one characteristic, and the
+only owner of psi_a: Moments.psi forms it on first read and refuses a
+thetanull within 10^3 of its certified tail bound, and delta_psi and
+psi_sq, formed on first read as well, read psi first.
 
 A QuarticForm is dense: one complex vector over the monomial basis of
 its genus, the sorted index 4-tuples j <= l <= m <= p in lexicographic
@@ -66,7 +69,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import fsum
 
 import numpy as np
@@ -207,8 +210,8 @@ def _radius_scan(tau: SiegelPoint, z, shifts, eps_by_weight: dict) -> tuple[int,
     box of more than _MAX_BOX_POINTS points raises TruncationError naming
     the eps of the first weight still open.
     """
-    if min(eps_by_weight.values()) <= 0:
-        raise ValueError("eps must be positive")
+    if not all(0 < e < math.inf for e in eps_by_weight.values()):
+        raise ValueError("eps must be finite and positive")
     lam = tau.lambda_min
     if lam <= PD_MARGIN:
         raise HalfSpaceError("Im(tau) is not positive definite with margin")
@@ -369,11 +372,17 @@ class ThetaJet:
 
 @dataclass(frozen=True)
 class Moments:
-    """Termwise z = 0 lattice moments of one characteristic.
+    """Termwise z = 0 lattice moments of the characteristic a.
 
     value = theta_a(0, tau); t1[j] = sum m_j term (equals the gradient
     over 2 pi i); t2[j,l] = sum m_j m_l term (equals delta_jl theta_a);
     t4[(j,l,m,p) sorted] = sum m_j m_l m_m m_p term.
+
+    psi, delta_psi and psi_sq are formed on first read and kept
+    (cached_property writes the instance __dict__, which the frozen
+    dataclass allows).  psi raises NearZeroThetanull when theta_a lies
+    within 10^3 of its certified tail bound; delta_psi (which needs
+    order 4) and psi_sq read psi first.
     """
 
     value: complex
@@ -382,6 +391,34 @@ class Moments:
     t4: dict
     tail_bound: float
     radius: int
+    a: Characteristic
+
+    @cached_property
+    def psi(self) -> SymmetricForm:
+        """psi_a = t2 / theta_a."""
+        if abs(self.value) <= 1e3 * self.tail_bound:
+            raise NearZeroThetanull(
+                f"thetanull {self.a.label()}: |theta| = {abs(self.value):.3g} is within 10^3 "
+                f"of the certified tail bound {self.tail_bound:.3g}"
+            )
+        return SymmetricForm(self.a.genus, self.t2 / self.value)
+
+    @cached_property
+    def delta_psi(self) -> QuarticForm:
+        """delta(psi_a): the symmetrization of t4_{jlmp} / theta_a - psi_jl psi_mp,
+        with psi the raw quotient t2 / theta_a (SymmetricForm would turn a
+        -0.0 entry into +0.0)."""
+        self.psi  # the near-zero guard
+        g = self.a.genus
+        keys, index = _quartic_basis(g)
+        t4 = np.array([self.t4[key] for key in map(tuple, keys.tolist())])
+        psi = self.t2 / self.value
+        return QuarticForm(g, _symmetrize(t4[index] / self.value - np.multiply.outer(psi, psi)))
+
+    @cached_property
+    def psi_sq(self) -> QuarticForm:
+        """The quartic form psi_a(u)^2."""
+        return QuarticForm.from_quadratic_product(self.psi, self.psi)
 
 
 def _check_char(a: Characteristic, tau: SiegelPoint):
@@ -469,7 +506,7 @@ def batch_moments(
                     t2[key] = t2[key[::-1]] = s
                 elif len(key) == 4:
                     t4[key] = s
-            out[a] = Moments(sums[()], t1, t2, t4, bounds[0], nrad)
+            out[a] = Moments(sums[()], t1, t2, t4, bounds[0], nrad, a)
     return out
 
 
@@ -601,22 +638,11 @@ def delta_theta(
     return complex(mom.t2[idx.j - 1, idx.l - 1])
 
 
-def _psi_from_moments(a: Characteristic, mom: Moments) -> SymmetricForm:
-    """psi_a = t2 / theta_a from the moments of a; raises NearZeroThetanull
-    when theta_a lies within 10^3 of its certified tail bound."""
-    if abs(mom.value) <= 1e3 * mom.tail_bound:
-        raise NearZeroThetanull(
-            f"thetanull {a.label()}: |theta| = {abs(mom.value):.3g} is within 10^3 "
-            f"of the certified tail bound {mom.tail_bound:.3g}"
-        )
-    return SymmetricForm(mom.t2.shape[0], mom.t2 / mom.value)
-
-
 def psi_matrix(a: Characteristic, tau: SiegelPoint, eps: float = DEFAULT_EPS) -> SymmetricForm:
     """The symmetric matrix psi_a with entries delta_jl theta_a / theta_a."""
     if not a.is_even:
         raise ValueError("psi_matrix is defined for even characteristics")
-    return _psi_from_moments(a, theta_moments(a, tau, eps, order=2))
+    return theta_moments(a, tau, eps, order=2).psi
 
 
 def odd_z_gradient(a: Characteristic, tau: SiegelPoint, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -627,15 +653,6 @@ def odd_z_gradient(a: Characteristic, tau: SiegelPoint, eps: float = DEFAULT_EPS
     return mom.t1  # per-term factor m_j already equals the normalized gradient
 
 
-def _delta_psi_from_moments(mom: Moments) -> QuarticForm:
-    """delta(psi_a): the symmetrization of t4_{jlmp} / theta_a - psi_jl psi_mp."""
-    g = mom.t2.shape[0]
-    keys, index = _quartic_basis(g)
-    t4 = np.array([mom.t4[key] for key in map(tuple, keys.tolist())])
-    psi = mom.t2 / mom.value
-    return QuarticForm(g, _symmetrize(t4[index] / mom.value - np.multiply.outer(psi, psi)))
-
-
 def quartic_delta_psi(a: Characteristic, tau: SiegelPoint, eps: float = DEFAULT_EPS) -> QuarticForm:
     """The quartic form delta(psi_a) with entries delta_jl psi_{a,mp}.
 
@@ -644,6 +661,4 @@ def quartic_delta_psi(a: Characteristic, tau: SiegelPoint, eps: float = DEFAULT_
     """
     if not a.is_even:
         raise ValueError("quartic_delta_psi is defined for even characteristics")
-    mom = theta_moments(a, tau, eps, order=4)
-    _psi_from_moments(a, mom)  # the near-zero guard
-    return _delta_psi_from_moments(mom)
+    return theta_moments(a, tau, eps, order=4).delta_psi

@@ -101,7 +101,9 @@ def test_kernel_refusal_is_a_check_error_not_the_end_of_the_campaign(
 ):
     def near_divisor(genus, plan, eps, tol):
         # thetanull 33 vanishes at every diagonal genus-2 point
-        identities._PointData(SiegelPoint(2, np.diag([0.3 + 1.1j, -0.2 + 0.9j])), eps).psi
+        tau = SiegelPoint(2, np.diag([0.3 + 1.1j, -0.2 + 0.9j]))
+        for mom in identities._point(tau, eps).values():
+            mom.psi
 
     def over_budget(genus, plan, eps, tol):
         truncation_radius(SiegelPoint(3, 1e-3j * np.eye(3)), None, eps, weight=4)
@@ -136,7 +138,7 @@ def test_refused_check_records_its_own_tolerance_floor():
     # the kernel refuses this plan during the radius arithmetic, before any
     # allocation; the error record carries heat_equation's floor, not --tol
     plan = identities.SamplePlan(count=1, diag_min=1e-3, diag_max=2e-3, offdiag=0.0)
-    name, check, _ = cli._pool_run(("heat_equation", 3, plan.to_json(), 1e-14, 1e-12))
+    name, check, _ = cli._pool_run(("heat_equation", 3, plan, 1e-14, 1e-12))
     assert name == "heat_equation"
     assert check.status == "error"
     assert check.notes == {"exception": "TruncationError"}
@@ -264,11 +266,19 @@ def test_fourier_command_with_crosscheck(capsys):
     assert payload["crosscheck"]["within_bounds"] is True
 
 
-def test_runconfig_validation():
+def test_runconfig_validation(capsys):
     with pytest.raises(ValueError):
         RunConfig(genus=4)
     with pytest.raises(ValueError):
         RunConfig(samples=0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            RunConfig(eps=bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            RunConfig(tol=bad)
+    for flag in ("--eps", "--tol"):
+        code, _, err = run_main(capsys, "verify", "heat_equation", "--genus", "1", flag, "nan")
+        assert code == 2 and "finite and positive" in err
     with pytest.raises(KeyError):
         RunConfig(identities=["nope"])
     with pytest.raises(ValueError, match="does not apply at genus 3"):

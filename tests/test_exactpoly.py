@@ -1,6 +1,7 @@
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,7 +118,8 @@ def test_hash_agrees_with_equality():
 
 def test_equality_with_a_non_number_is_false():
     x, = RationalPoly.ring(["x"])
-    for other in (None, "a", object(), 1j):
+    nan, inf = float("nan"), float("inf")
+    for other in (None, "a", object(), 1j, nan, inf, -inf, np.float64("nan"), np.float64(-inf)):
         assert (x == other) is False
         assert x != other
     assert x not in [None, "a"]
@@ -278,8 +280,6 @@ def test_gopel_per_system_defect_vanishes_only_on_theta_locus():
 def test_gopel_numeric_shadow_agrees_with_series_values():
     # evaluate the global defect at psi values taken from the series
     # kernel; it vanishes there too (it is the zero polynomial)
-    import numpy as np
-
     from siegeltheta.characteristics import digit_encode, enumerate_characteristics
     from siegeltheta.siegel import SiegelPoint
     from siegeltheta.theta import batch_moments

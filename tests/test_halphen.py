@@ -159,7 +159,7 @@ def test_halphen_consistent_with_second_order_system_genus1():
     # first-order system at the same point
     from siegeltheta.characteristics import enumerate_characteristics, pairing
     from siegeltheta.siegel import SiegelPoint
-    from siegeltheta.theta import batch_moments, _delta_psi_from_moments
+    from siegeltheta.theta import batch_moments
 
     tau = 0.2 + 1.3j
     pt = SiegelPoint(1, np.array([[tau]]))
@@ -169,7 +169,7 @@ def test_halphen_consistent_with_second_order_system_genus1():
     rhs = dict(zip(("psi_10", "psi_00", "psi_01"), halphen_rhs(state)))
     for a in evens:
         name = "psi_" + "".join(str(b) for b in (a.a_prime[0], a.a_double_prime[0]))
-        lhs = _delta_psi_from_moments(moms[a]).coefficient(0, 0, 0, 0)
+        lhs = moms[a].delta_psi.coefficient(0, 0, 0, 0)
         t_a4 = moms[a].value ** 4
         total = -2 * (moms[a].t2[0, 0] / moms[a].value) ** 2
         for b in evens:

@@ -6,13 +6,7 @@ import pytest
 from siegeltheta import identities
 from siegeltheta.characteristics import char_table
 from siegeltheta.siegel import SiegelPoint
-from siegeltheta.theta import (
-    NearZeroThetanull,
-    QuarticForm,
-    _delta_psi_from_moments,
-    _psi_from_moments,
-    batch_moments,
-)
+from siegeltheta.theta import NearZeroThetanull, QuarticForm, SymmetricForm, batch_moments
 from siegeltheta.identities import (
     REGISTRY,
     IdentityCheck,
@@ -250,13 +244,14 @@ def test_identity_sweeps_build_no_characteristics(monkeypatch):
 def _negate_eta_00_01_on_second_sample(monkeypatch, plan):
     from siegeltheta.characteristics import digit_decode
 
-    second = plan.tau_points(2)[1].tau
+    # the second sample is recognized by its theta_00 (position 0)
+    second = identities._point(plan.tau_points(2)[1], identities.DEFAULT_EPS)[0].value
     pair = {digit_decode("00").code, digit_decode("01").code}
     original = identities._eta_from_psi
 
     def flipped(data, a, b):
         eta = original(data, a, b)
-        return -eta if {a, b} == pair and np.array_equal(data.tau.tau, second) else eta
+        return -eta if {a, b} == pair and data[0].value == second else eta
 
     monkeypatch.setattr(identities, "_eta_from_psi", flipped)
 
@@ -296,37 +291,54 @@ def _moment_bits(m) -> list[str]:
 
 @pytest.mark.parametrize("genus", [1, 2, 3])
 def test_point_record_matches_direct_moments(genus):
-    # the record reads one batch of moments and forms psi, delta(psi) and
-    # psi^2 exactly as the kernel's own helpers do, bit for bit
+    # the record is one batch of moments keyed by position, and its psi,
+    # psi^2 and delta(psi) are the kernel's own forms, bit for bit
     table = char_table(genus)
     tau = SamplePlan(seed=5, count=1).tau_points(genus)[0]
     eps = 1e-14
     for order, positions in ((4, None), (2, table.even[1::2]), (1, table.odd)):
-        data = identities._PointData(tau, eps, order=order, positions=positions)
+        data = identities._point(tau, eps, order=order, positions=positions)
         expected = table.even if positions is None else positions
         chars = [table.chars[i] for i in expected]
         moments = batch_moments(chars, tau, eps, order=order)
-        assert list(data.moments) == list(data.value) == list(expected)
+        assert list(data) == list(expected)
         for i, a in zip(expected, chars):
-            assert _moment_bits(data.moments[i]) == _moment_bits(moments[a])
-            assert _bits(data.value[i]) == _bits(moments[a].value)
+            assert data[i].a == a
+            assert _moment_bits(data[i]) == _moment_bits(moments[a])
         if order == 1:
             continue
         for i, a in zip(expected, chars):
-            psi = _psi_from_moments(a, moments[a])
-            assert _bits(data.psi[i].coefficients) == _bits(psi.coefficients)
+            m = moments[a]
+            psi = SymmetricForm(genus, m.t2 / m.value)
+            assert _bits(data[i].psi.coefficients) == _bits(psi.coefficients)
             if order == 4:
                 square = QuarticForm.from_quadratic_product(psi, psi)
-                delta = _delta_psi_from_moments(moments[a])
-                assert _bits(data.psi_sq[i].coefficients) == _bits(square.coefficients)
-                assert _bits(data.delta_psi[i].coefficients) == _bits(delta.coefficients)
+                assert _bits(data[i].psi_sq.coefficients) == _bits(square.coefficients)
+                assert _bits(data[i].delta_psi.coefficients) == _bits(m.delta_psi.coefficients)
 
 
 def test_point_record_guards_psi_on_first_read():
     # thetanull 33 vanishes at every diagonal genus-2 point: the values
     # are read, and only psi refuses
-    data = identities._PointData(SiegelPoint(2, np.diag([0.3 + 1.1j, -0.2 + 0.9j])), 1e-14)
-    assert len(data.value) == 10
-    assert all(np.isfinite(v) for v in data.value.values())
+    data = identities._point(SiegelPoint(2, np.diag([0.3 + 1.1j, -0.2 + 0.9j])), 1e-14)
+    assert len(data) == 10
+    assert all(np.isfinite(m.value) for m in data.values())
     with pytest.raises(NearZeroThetanull, match="thetanull 33"):
-        data.psi
+        for m in data.values():
+            m.psi
+
+
+def test_genus1_transformation_sums_each_point_once(monkeypatch):
+    # one record per sample and one per transformed sample: the Legendre
+    # law reads the records of the pair laws, not sums of its own
+    calls = []
+    original = identities.batch_moments
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "batch_moments", counting)
+    plan = SamplePlan(seed=0, count=2)
+    assert run_check("transformation", 1, plan).status == "pass"
+    assert len(calls) == (1 + identities._GAMMA_COUNT) * plan.count == 11 * plan.count

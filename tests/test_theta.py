@@ -26,7 +26,6 @@ from siegeltheta.theta import (
     truncation_radius,
     _box_tails,
     _radius_scan,
-    _delta_psi_from_moments,
     _exp_terms,
     _lattice_two_m,
     _phase_factors,
@@ -100,8 +99,11 @@ def test_truncation_bound_dominates_true_tail_100_samples():
 
 
 def test_truncation_radius_rejects_bad_eps():
-    with pytest.raises(ValueError):
-        truncation_radius(TAU_I, None, 0.0)
+    for eps in (0.0, -1e-14, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            truncation_radius(TAU_I, None, eps)
+    with pytest.raises(ValueError, match="finite and positive"):
+        theta_jet(Characteristic(1, (0,), (0,)), None, TAU_I, math.nan)
 
 
 def test_truncation_radius_refuses_box_beyond_point_budget():
@@ -349,6 +351,23 @@ def test_psi_requires_even_and_guards_near_zero():
         psi_matrix(C01, near, eps=1e-3)
 
 
+def test_moments_form_psi_once_and_guard_it():
+    pt = _random_point(2, 20)
+    a = Characteristic(2, (1, 0), (0, 1))
+    mom = theta_moments(a, pt, 1e-14, order=2)
+    assert mom.a == a
+    assert mom.psi is mom.psi  # formed once, on first read
+    assert _hex(psi_matrix(a, pt).coefficients) == _hex(mom.psi.coefficients)
+    # thetanull 33 vanishes at every diagonal genus-2 point: its value
+    # reads, and psi and delta(psi) refuse
+    a33 = Characteristic(2, (1, 1), (1, 1))
+    m33 = theta_moments(a33, SiegelPoint(2, np.diag([0.3 + 1.1j, -0.2 + 0.9j])), 1e-14)
+    assert np.isfinite(m33.value)
+    for attr in ("psi", "delta_psi"):
+        with pytest.raises(NearZeroThetanull, match="thetanull 33"):
+            getattr(m33, attr)
+
+
 def test_odd_gradient_jacobi_formula():
     for tau in (1j, 2j):
         pt = SiegelPoint(1, np.array([[tau]]))
@@ -441,7 +460,7 @@ def test_dense_quartic_forms_match_dict_reference(genus):
         mom = theta_moments(a, pt, 1e-14, order=4)
         psi = mom.t2 / mom.value
         cases.append((
-            _delta_psi_from_moments(mom),
+            mom.delta_psi,
             _dict_symmetrize(genus, lambda j, l, mm, pp: (
                 mom.t4[tuple(sorted((j, l, mm, pp)))] / mom.value, psi[j, l] * psi[mm, pp]
             )),
