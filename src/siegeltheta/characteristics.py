@@ -116,13 +116,16 @@ class Characteristic:
 
     @staticmethod
     def parse(text: str, genus: int | None = None) -> "Characteristic":
-        """Parse "(a';a'')" bit-vector form, or a two-digit genus-2 label."""
+        """Parse "(a';a'')" bit-vector form, or a two-digit genus-2 label.
+        Entries must be 0 or 1: theta[a'; a''+2k] = (-1)^(a'.k) theta[a'; a'']."""
         text = text.strip()
         if text.startswith("("):
             body = text.strip("()")
             left, right = body.split(";")
             ap = tuple(int(b) for b in left.replace(" ", "").split(","))
             ad = tuple(int(b) for b in right.replace(" ", "").split(","))
+            if not set(ap + ad) <= {0, 1}:
+                raise ValueError(f"characteristic entries must be 0 or 1: {text!r}")
             return Characteristic(len(ap), ap, ad)
         if len(text) == 2 and text.isdigit() and (genus in (None, 2)):
             return digit_decode(text)

@@ -80,6 +80,17 @@ def _shift(variables: tuple, name: str) -> int:
     return _W * (len(variables) - 1 - variables.index(name))
 
 
+def _fraction(value) -> Fraction:
+    """Fraction(value), also for numpy's float16, float32 and longdouble:
+    numbers.Real, but not float subclasses, so Fraction refuses them."""
+    try:
+        return Fraction(value)
+    except TypeError:
+        if not isinstance(value, Real):
+            raise
+        return Fraction(*value.as_integer_ratio())
+
+
 class RationalPoly:
     """Sparse polynomial with exact rational coefficients."""
 
@@ -90,7 +101,7 @@ class RationalPoly:
         n = len(self.variables)
         coeffs = {}
         for expo, coeff in (terms or {}).items():
-            c = Fraction(coeff)
+            c = _fraction(coeff)
             if c == 0:
                 continue
             expo = tuple(int(e) for e in expo)
@@ -134,7 +145,7 @@ class RationalPoly:
 
     @classmethod
     def constant(cls, value, variables=()) -> "RationalPoly":
-        value = Fraction(value)
+        value = _fraction(value)
         num = {0: value.numerator} if value else {}
         return cls._packed(tuple(variables), num, value.denominator)
 
@@ -206,7 +217,7 @@ class RationalPoly:
 
     def __mul__(self, other):
         if not isinstance(other, RationalPoly):
-            s = Fraction(other)
+            s = _fraction(other)
             num = {k: c * s.numerator for k, c in self._num.items()} if s else {}
             return RationalPoly._packed(self.variables, num, self._den * s.denominator)
         a, b = self._common(self, other)

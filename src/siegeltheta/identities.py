@@ -157,9 +157,6 @@ class SamplePlan:
             )
         return out
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class IdentityCheck:

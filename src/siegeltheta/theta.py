@@ -27,40 +27,41 @@ delta(psi_a) has coefficients
 
 computed from fourth-order z-derivative data, never by tau differencing.
 
-One engine, _coset_sums, does every lattice sum: for the characteristics
-of one a' coset it returns the exactly rounded sums of m_j ... m_p term(m)
-for the monomials (), (j,), (j, l), (j, l, m, p) a caller asks for.
-theta_jet, theta_values and batch_moments choose only the monomials and
-the radius.  Every radius comes from one scan of the radii, _radius_scan,
-as the largest over the weights a caller needs of the first radius that
-certifies it (eps, eps/2pi, eps/(2pi)^2 for a jet's value, gradient and
-Hessian; eps for each moment weight).  A radius whose box (2N+1)^g
-exceeds 2^20 points raises TruncationError before any allocation.
+One basis, _basis(g, k), orders the monomials of degree k everywhere: the
+sorted index tuples in lexicographic order, with the map from each of the
+g^k index tuples to its monomial.  One engine, _coset_sums, does every
+lattice sum: for the characteristics of one a' coset it returns, per
+degree k in (0, 1, 2, 4), the exactly rounded sums of m_j ... m_p term(m)
+in that order.  One batch loop, _sums, serves theta_jet, theta_values and
+batch_moments, which choose only the degrees and the eps per weight; it
+scans the radii once per coset (_radius_scan) and takes the largest over
+the weights of the first radius that certifies each (eps, eps/2pi,
+eps/(2pi)^2 for a jet's value, gradient and Hessian; eps for each moment
+weight).  A box (2N+1)^g above 2^20 points raises TruncationError before
+any allocation.
 
 Each sum is exactly rounded (Shewchuk accumulation, math.fsum), so it is
 reproducible bitwise and does not depend on the order of its terms.
 Without a z term the sum is folded over m <-> -m: the box is symmetric,
 and for a monomial of degree k the weighted term of -m is
-(-1)^(|a| + k) times that of m, bit for bit.  So a monomial with |a| + k
+(-1)^(|a| + k) times that of m, bit for bit.  So a degree with |a| + k
 odd is exactly 0 and is returned as +0.0 without summing (odd
 characteristics give value and Hessian exactly 0 at z = 0, even ones
-give gradient exactly 0), and every other monomial is the fsum of the
-origin term once and of twice the terms after it.  Doubling is exact and
+give gradient exactly 0), and every other sum is the fsum of the origin
+term once and of twice the terms after it.  Doubling is exact and
 leaves the exact sum as it was, so the fold returns the bits of the
 full-box sum from half the exponentials.
 
-A Moments record is the thetanull data of one characteristic, and the
-only owner of psi_a: Moments.psi forms it on first read and refuses a
-thetanull within 10^3 of its certified tail bound, and delta_psi and
-psi_sq, formed on first read as well, read psi first.
+A Moments record is the thetanull data of one characteristic, with t2
+and t4 the full symmetric g^2 and g^4 arrays, and the only owner of
+psi_a: Moments.psi forms it on first read and refuses a thetanull within
+10^3 of its certified tail bound; delta_psi and psi_sq read psi first.
 
-A QuarticForm is dense: one complex vector over the monomial basis of
-its genus, the sorted index 4-tuples j <= l <= m <= p in lexicographic
-order (1, 5 and 15 monomials at genus 1, 2 and 3).  _quartic_basis(g)
-caches that basis with the map from each of the g^4 index tuples to its
-monomial, and _symmetrize folds a 4-index array onto the basis with one
-np.add.at over that map, adding the orderings of each monomial in C
-order.  Sums, differences and scalar multiples are vector operations.
+A QuarticForm is dense: one complex vector over _basis(g, 4) (1, 5 and
+15 monomials at genus 1, 2 and 3).  _symmetrize folds a 4-index array
+onto it with one np.add.at over the map, adding the orderings of each
+monomial in C order.  Sums, differences and scalar multiples are vector
+operations.
 """
 
 from __future__ import annotations
@@ -272,11 +273,6 @@ def _lattice_two_m(a_prime: tuple[int, ...], nrad: int) -> np.ndarray:
     return two_m
 
 
-def _csum(arr: np.ndarray) -> complex:
-    """Exactly rounded complex sum (Shewchuk accumulation per part)."""
-    return complex(fsum(arr.real.tolist()), fsum(arr.imag.tolist()))
-
-
 def _exp_terms(two_m: np.ndarray, tau: np.ndarray, z) -> np.ndarray:
     """exp(pi i m^t tau m + 2 pi i m^t z) for every lattice row (phase of
     a'' excluded; that factor is exact and applied separately)."""
@@ -303,23 +299,43 @@ def _phase_factors(two_m: np.ndarray, a_double_prime) -> np.ndarray:
     return _PHASES[p]
 
 
+@lru_cache(maxsize=None)
+def _basis(genus: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, index) of the monomials of one degree in genus variables:
+    keys holds the sorted index tuples j <= l <= ... in lexicographic
+    order, one row per monomial (degree 0 is the one empty row), and
+    index[j, l, ...] is the row of sorted((j, l, ...))."""
+    keys = list(itertools.combinations_with_replacement(range(genus), degree))
+    row = {key: i for i, key in enumerate(keys)}
+    index = [row[tuple(sorted(t))] for t in itertools.product(range(genus), repeat=degree)]
+    keys = np.array(keys, dtype=np.intp).reshape(len(keys), degree)
+    index = np.array(index).reshape((genus,) * degree)
+    keys.setflags(write=False)
+    index.setflags(write=False)
+    return keys, index
+
+
 def _coset_sums(
-    coset, z, tau: SiegelPoint, nrad: int, monomials
-) -> dict[Characteristic, dict[tuple, complex]]:
-    """{a: {monomial: sum of m_j ... m_p term(m) over the box}} for one a'
-    coset.  A weight row is the product of its m columns, left to right;
-    the lattice, weights and exponentials are shared by the coset.
+    coset, z, tau: SiegelPoint, nrad: int, degrees
+) -> dict[Characteristic, dict[int, list[complex]]]:
+    """{a: {k: sums}} for one a' coset: per degree k, the exactly rounded
+    sums of m_j ... m_p term(m) over the box, one per row of
+    _basis(g, k)[0].  The lattice, the weight rows m_j ... m_p and the
+    exponentials are shared by the coset.  Each weight is exact whatever
+    the order of its product: the m are half-integers with
+    |m_j| <= _MAX_RADIUS, so every partial product of up to four of them
+    is K/16 with |K| <= 800^4 < 2^39.
 
     Without a z term the sum is folded over m <-> -m.  The box is
     symmetric (row i of _lattice_two_m is minus row n-1-i), the exponent
     of -m is bitwise that of m, the phase picks up (-1)^|a| and a weight
-    row of degree k picks up (-1)^k.  So a monomial with k + |a| odd sums
-    to exactly 0, returned as +0.0 + 0.0j, the bits fsum gives for a zero
-    sum; every other monomial is the fsum of the origin term (present when
-    a' = 0) once and of 2 * term over the rows after it.  Doubling is
-    exact, the exact sum is unchanged, and fsum rounds it exactly, so the
-    folded sums have the bits of the full-box sums at half the
-    exponentials and half the summed terms.
+    of degree k picks up (-1)^k.  So every sum of a degree with k + |a|
+    odd is exactly 0, returned as +0.0 + 0.0j, the bits fsum gives for
+    any zero sum; every other sum is the fsum of the origin term (present
+    when a' = 0) once and of (weight * term) * 2 over the rows after it.
+    Doubling is exact, the exact sum is unchanged, and fsum rounds it
+    exactly, so the folded sums have the bits of the full-box sums at
+    half the exponentials and half the summed terms.
     """
     two_m = _lattice_two_m(coset[0].a_prime, nrad)
     fold = _nonzero_z(z, tau.genus) is None
@@ -328,21 +344,23 @@ def _coset_sums(
         two_m = two_m[n // 2:]  # the origin first when n is odd, i.e. a' = 0
         multiplicity = np.full(len(two_m), 2.0)
         multiplicity[0] = 2.0 - n % 2
-    m = two_m.astype(np.float64) / 2.0
-    weights = {
-        mono: reduce(operator.mul, [m[:, i] for i in mono]) for mono in monomials if mono
-    }
+    m = two_m.T.astype(np.float64, order="C") / 2.0  # one row per axis
+    weights = {k: [reduce(operator.mul, [m[j] for j in key]) for key in _basis(tau.genus, k)[0]]
+               for k in degrees if k}
     base = _exp_terms(two_m, tau.tau, z)
     out = {}
     for a in coset:
         t = base * _phase_factors(two_m, a.a_double_prime)
         sums = {}
-        for mono in monomials:
-            if fold and (len(mono) + a.weight) % 2:
-                sums[mono] = complex(0.0, 0.0)
+        for k in degrees:
+            if fold and (k + a.weight) % 2:
+                sums[k] = [0j] * len(_basis(tau.genus, k)[0])
                 continue
-            terms = weights[mono] * t if mono else t
-            sums[mono] = _csum(multiplicity * terms if fold else terms)
+            # one weighted row alive at a time, not one box-sized row per monomial
+            rows = (w * t for w in weights[k]) if k else [t]
+            if fold:
+                rows = (multiplicity * row for row in rows)
+            sums[k] = [complex(fsum(row.real.tolist()), fsum(row.imag.tolist())) for row in rows]
         out[a] = sums
     return out
 
@@ -375,20 +393,21 @@ class Moments:
     """Termwise z = 0 lattice moments of the characteristic a.
 
     value = theta_a(0, tau); t1[j] = sum m_j term (equals the gradient
-    over 2 pi i); t2[j,l] = sum m_j m_l term (equals delta_jl theta_a);
-    t4[(j,l,m,p) sorted] = sum m_j m_l m_m m_p term.
+    over 2 pi i); t2[j, l] = sum m_j m_l term (equals delta_jl theta_a);
+    t4[j, l, m, p] = sum m_j m_l m_m m_p term.  t2 and t4 are the full
+    symmetric arrays, None below order 2 and 4 of the batch.
 
     psi, delta_psi and psi_sq are formed on first read and kept
     (cached_property writes the instance __dict__, which the frozen
     dataclass allows).  psi raises NearZeroThetanull when theta_a lies
-    within 10^3 of its certified tail bound; delta_psi (which needs
-    order 4) and psi_sq read psi first.
+    within 10^3 of its certified tail bound; delta_psi and psi_sq read
+    psi first.  A read above the record's order raises ValueError.
     """
 
     value: complex
     t1: np.ndarray
-    t2: np.ndarray
-    t4: dict
+    t2: np.ndarray | None
+    t4: np.ndarray | None
     tail_bound: float
     radius: int
     a: Characteristic
@@ -396,6 +415,8 @@ class Moments:
     @cached_property
     def psi(self) -> SymmetricForm:
         """psi_a = t2 / theta_a."""
+        if self.t2 is None:
+            raise ValueError("psi needs moments of order 2")
         if abs(self.value) <= 1e3 * self.tail_bound:
             raise NearZeroThetanull(
                 f"thetanull {self.a.label()}: |theta| = {abs(self.value):.3g} is within 10^3 "
@@ -408,12 +429,12 @@ class Moments:
         """delta(psi_a): the symmetrization of t4_{jlmp} / theta_a - psi_jl psi_mp,
         with psi the raw quotient t2 / theta_a (SymmetricForm would turn a
         -0.0 entry into +0.0)."""
+        if self.t4 is None:
+            raise ValueError("delta_psi needs moments of order 4")
         self.psi  # the near-zero guard
-        g = self.a.genus
-        keys, index = _quartic_basis(g)
-        t4 = np.array([self.t4[key] for key in map(tuple, keys.tolist())])
         psi = self.t2 / self.value
-        return QuarticForm(g, _symmetrize(t4[index] / self.value - np.multiply.outer(psi, psi)))
+        full = self.t4 / self.value - np.multiply.outer(psi, psi)
+        return QuarticForm(self.a.genus, _symmetrize(full))
 
     @cached_property
     def psi_sq(self) -> QuarticForm:
@@ -421,18 +442,19 @@ class Moments:
         return QuarticForm.from_quadratic_product(self.psi, self.psi)
 
 
-def _check_char(a: Characteristic, tau: SiegelPoint):
-    if a.genus != tau.genus:
-        raise ValueError("characteristic and point have different genus")
-
-
-def _cosets(chars, tau: SiegelPoint) -> list[list[Characteristic]]:
-    """chars grouped by a', in order of first appearance."""
-    groups: dict[tuple, list[Characteristic]] = {}
+def _sums(chars, z, tau: SiegelPoint, eps_by_weight: dict, degrees):
+    """Yield (a, sums, value bound, radius) for each a in chars, a' coset
+    by a' coset in order of first appearance: one _radius_scan for
+    eps_by_weight and one _coset_sums of the given degrees per coset."""
+    cosets: dict[tuple, list[Characteristic]] = {}
     for a in chars:
-        _check_char(a, tau)
-        groups.setdefault(a.a_prime, []).append(a)
-    return list(groups.values())
+        if a.genus != tau.genus:
+            raise ValueError("characteristic and point have different genus")
+        cosets.setdefault(a.a_prime, []).append(a)
+    for a_prime, coset in cosets.items():
+        nrad, bounds = _radius_scan(tau, z, a_prime, eps_by_weight)
+        for a, sums in _coset_sums(coset, z, tau, nrad, degrees).items():
+            yield a, sums, bounds[0], nrad
 
 
 def theta_jet(a: Characteristic, z, tau: SiegelPoint, eps: float = DEFAULT_EPS) -> ThetaJet:
@@ -442,19 +464,12 @@ def theta_jet(a: Characteristic, z, tau: SiegelPoint, eps: float = DEFAULT_EPS) 
     carry truncation error at most eps; tail_bound is the (smaller)
     certified bound on the value itself.
     """
-    _check_char(a, tau)
-    g = tau.genus
     two_pi = 2.0 * math.pi
     eps_by_weight = dict(enumerate((eps, eps / two_pi, eps / two_pi**2)))
-    nrad, bounds = _radius_scan(tau, z, a.a_prime, eps_by_weight)
-    pairs = list(itertools.combinations_with_replacement(range(g), 2))
-    monomials = [(), *((j,) for j in range(g)), *pairs]
-    sums = _coset_sums([a], z, tau, nrad, monomials)[a]
-    grad = np.array([2j * math.pi * sums[(j,)] for j in range(g)])
-    hess = np.empty((g, g), dtype=complex)
-    for j, l in pairs:
-        hess[j, l] = hess[l, j] = (2j * math.pi) ** 2 * sums[(j, l)]
-    return ThetaJet(sums[()], grad, hess, bounds[0])
+    [(_, s, bound, _)] = _sums([a], z, tau, eps_by_weight, (0, 1, 2))
+    grad = np.array([2j * math.pi * x for x in s[1]])
+    hess = np.array([(2j * math.pi) ** 2 * x for x in s[2]])[_basis(tau.genus, 2)[1]]
+    return ThetaJet(s[0][0], grad, hess, bound)
 
 
 def theta_values(
@@ -465,18 +480,13 @@ def theta_values(
     Characteristics sharing the same a' reuse one lattice/exponential
     pass; only the exact phase factors differ.
     """
-    out: dict[Characteristic, complex] = {}
-    for coset in _cosets(chars, tau):
-        nrad = truncation_radius(tau, z, eps, 0, coset[0]).radius
-        for a, sums in _coset_sums(coset, z, tau, nrad, [()]).items():
-            out[a] = sums[()]
-    return out
+    return {a: s[0][0] for a, s, _, _ in _sums(chars, z, tau, {0: eps}, (0,))}
 
 
 def theta_moments(
     a: Characteristic, tau: SiegelPoint, eps: float = DEFAULT_EPS, order: int = 4
 ) -> Moments:
-    """z = 0 moments of theta_a up to the requested order (2 or 4)."""
+    """z = 0 moments of theta_a up to the requested order (1, 2 or 4)."""
     return batch_moments([a], tau, eps, order)[a]
 
 
@@ -486,27 +496,12 @@ def batch_moments(
     """Batch z = 0 moments, sharing lattice passes within each a' coset."""
     if order not in (1, 2, 4):
         raise ValueError("order must be 1, 2 or 4")
-    g = tau.genus
-    monomials = [()] + [
-        mono
-        for k in (1, 2, 4)
-        if k <= order
-        for mono in itertools.combinations_with_replacement(range(g), k)
-    ]
+    degrees = [k for k in (0, 1, 2, 4) if k <= order]
     eps_by_weight = dict.fromkeys(range(order + 1), eps)
     out: dict[Characteristic, Moments] = {}
-    for coset in _cosets(chars, tau):
-        nrad, bounds = _radius_scan(tau, None, coset[0].a_prime, eps_by_weight)
-        for a, sums in _coset_sums(coset, None, tau, nrad, monomials).items():
-            t1 = np.array([sums[(j,)] for j in range(g)])
-            t2 = np.zeros((g, g), dtype=complex)
-            t4 = {}
-            for key, s in sums.items():
-                if len(key) == 2:
-                    t2[key] = t2[key[::-1]] = s
-                elif len(key) == 4:
-                    t4[key] = s
-            out[a] = Moments(sums[()], t1, t2, t4, bounds[0], nrad, a)
+    for a, s, bound, nrad in _sums(chars, None, tau, eps_by_weight, degrees):
+        t2, t4 = (np.array(s[k])[_basis(a.genus, k)[1]] if k in s else None for k in (2, 4))
+        out[a] = Moments(s[0][0], np.array(s[1]), t2, t4, bound, nrad, a)
     return out
 
 
@@ -551,25 +546,11 @@ class SymmetricForm:
         return complex(np.linalg.det(self.coefficients))
 
 
-@lru_cache(maxsize=None)
-def _quartic_basis(genus: int) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, index) of the monomial basis of quartic forms in genus
-    variables.  keys holds the sorted index 4-tuples j <= l <= m <= p in
-    lexicographic order, one row per monomial (1, 5 and 15 of them at
-    genus 1, 2 and 3); index[j, l, m, p] is the row of sorted((j, l, m, p))."""
-    tuples = np.array(list(itertools.product(range(genus), repeat=4)))
-    keys, index = np.unique(np.sort(tuples, axis=1), axis=0, return_inverse=True)
-    index = index.reshape((genus,) * 4)
-    keys.setflags(write=False)
-    index.setflags(write=False)
-    return keys, index
-
-
 def _symmetrize(full: np.ndarray) -> np.ndarray:
     """Monomial coefficients of the quartic form with 4-index array full:
     each is the sum of full over the orderings of its indices, added in
     C order of (j, l, m, p)."""
-    keys, index = _quartic_basis(full.shape[0])
+    keys, index = _basis(full.shape[0], 4)
     out = np.zeros(len(keys), dtype=complex)
     np.add.at(out, index.reshape(-1), full.reshape(-1))
     return out
@@ -580,7 +561,7 @@ class QuarticForm:
     """A quartic form in u, one complex vector over the monomial basis.
 
     coefficients[i] is the full coefficient of the monomial
-    u_j u_l u_m u_p with (j, l, m, p) = _quartic_basis(genus)[0][i],
+    u_j u_l u_m u_p with (j, l, m, p) = _basis(genus, 4)[0][i],
     i.e. the sum over all index orderings of the defining 4-index array,
     so evaluation is a plain dot product with the monomials.
     """
@@ -609,11 +590,11 @@ class QuarticForm:
 
     def coefficient(self, j, l, m, p) -> complex:
         """The coefficient of u_j u_l u_m u_p, in any index order."""
-        return complex(self.coefficients[_quartic_basis(self.genus)[1][j, l, m, p]])
+        return complex(self.coefficients[_basis(self.genus, 4)[1][j, l, m, p]])
 
     def value_at(self, u) -> complex:
         u = np.asarray(u, dtype=complex)
-        return complex(self.coefficients @ u[_quartic_basis(self.genus)[0]].prod(axis=1))
+        return complex(self.coefficients @ u[_basis(self.genus, 4)[0]].prod(axis=1))
 
     def max_abs(self) -> float:
         return float(np.abs(self.coefficients).max())

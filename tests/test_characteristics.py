@@ -78,6 +78,13 @@ def test_bit_vector_parse_roundtrip():
     assert Characteristic.parse("20") == C(2, [1, 0], [0, 0])
 
 
+@pytest.mark.parametrize("text", ["(1;2)", "(0,2;1,1)", "(1,0;0,-1)", "(3;0)"])
+def test_parse_refuses_entries_other_than_0_and_1(text):
+    # theta[1;2] = -theta[1;0]: reducing mod 2 would name the wrong sign
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        Characteristic.parse(text)
+
+
 def test_pairing_alternating_and_symmetric_relation():
     for genus in (1, 2, 3):
         allc = enumerate_characteristics(genus, "all")

@@ -190,6 +190,7 @@ TAU2 = "[[[0.1,1.0],[0.0,0.1]],[[0.0,0.1],[0.0,1.2]]]"
 @pytest.mark.parametrize(
     "argv,env",
     [
+        (["eval", "--char", "(1;2)", "--tau", "[[[0,1]]]"], {}),
         (["eval", "--char", "00", "--tau", "5"], {}),
         (["eval", "--char", "00", "--tau", "[[1]]"], {}),
         (["eval", "--char", "00", "--tau", TAU2, "--z", "5"], {}),
@@ -198,8 +199,9 @@ TAU2 = "[[[0.1,1.0],[0.0,0.1]],[[0.0,0.1],[0.0,1.2]]]"
         (["report", "ROW_WITHOUT_GENUS_FILE"], {}),
         (["verify", "all"], {"SIEGELTHETA_WORKERS": "abc"}),
     ],
-    ids=["tau-scalar", "tau-entry-not-a-pair", "z-scalar", "z-entry-not-a-pair",
-         "report-of-a-list", "report-row-without-genus", "workers-env-not-an-int"],
+    ids=["char-entry-not-a-bit", "tau-scalar", "tau-entry-not-a-pair", "z-scalar",
+         "z-entry-not-a-pair", "report-of-a-list", "report-row-without-genus",
+         "workers-env-not-an-int"],
 )
 def test_malformed_input_is_a_usage_error(argv, env, capsys, monkeypatch, tmp_path):
     files = {

@@ -127,6 +127,19 @@ def test_equality_with_a_non_number_is_false():
     assert RationalPoly.constant(3) == 3 and 3 == RationalPoly.constant(3)
 
 
+@pytest.mark.parametrize("kind", [np.float16, np.float32, np.longdouble])
+def test_numpy_floats_are_exact_constants(kind):
+    # not float subclasses, so Fraction refuses them; their value is exact
+    x, = RationalPoly.ring(["x"])
+    half = kind(1.5)
+    assert RationalPoly.constant(1.5) == half and half == RationalPoly.constant(1.5)
+    assert RationalPoly.constant(1.5) != kind(1.25)
+    assert x + half == x + Fraction(3, 2) and half + x == x + Fraction(3, 2)
+    assert x - half == x - Fraction(3, 2)
+    assert x * half == Fraction(3, 2) * x
+    assert RationalPoly(["x"], {(1,): half}) == Fraction(3, 2) * x
+
+
 def test_variable_merge_by_name():
     x, = RationalPoly.ring(["x"])
     y, = RationalPoly.ring(["y"])

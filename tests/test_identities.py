@@ -284,9 +284,8 @@ def _bits(*arrays) -> list[str]:
 
 
 def _moment_bits(m) -> list[str]:
-    return _bits(m.value, m.t1, m.t2, [m.t4[key] for key in sorted(m.t4)]) + [
-        float.hex(m.tail_bound), str(m.radius)
-    ]
+    moments = [x for x in (m.value, m.t1, m.t2, m.t4) if x is not None]
+    return _bits(*moments) + [float.hex(m.tail_bound), str(m.radius)]
 
 
 @pytest.mark.parametrize("genus", [1, 2, 3])
@@ -342,3 +341,13 @@ def test_genus1_transformation_sums_each_point_once(monkeypatch):
     plan = SamplePlan(seed=0, count=2)
     assert run_check("transformation", 1, plan).status == "pass"
     assert len(calls) == (1 + identities._GAMMA_COUNT) * plan.count == 11 * plan.count
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="ROADMAP fix-first 1: the phase pi m^t (Re tau) m loses bits at deep transformed "
+    "points; fails at 1.33e-8 > 1e-8, witness gamma=8 sample=0 pair=00,02 (weight 2)",
+)
+def test_genus2_transformation_passes_at_seed_11():
+    check = identities.check_transformation_laws(2, SamplePlan(seed=11, count=1))
+    assert check.status == "pass", f"{check.max_rel_residual:.4e} at {check.witness}"
