@@ -31,7 +31,7 @@ import numpy as np
 
 from .characteristics import Characteristic
 from .siegel import SiegelPoint
-from .theta import DEFAULT_EPS, _tail_product, theta_values
+from .theta import DEFAULT_EPS, _AxisSums, _tail_product, theta_values
 
 __all__ = ["QExpansion", "thetanull_qexp", "crosscheck", "MAX_ORDER"]
 
@@ -76,7 +76,7 @@ class QExpansion:
         nrad = int(math.floor(math.sqrt(self.order / self.genus)))
         if nrad < 1:
             return math.inf
-        return _tail_product(tau.lambda_min, 0.0, ("any",) * self.genus, nrad)
+        return _tail_product(_AxisSums(0.0), tau.lambda_min, ("any",) * self.genus, nrad)
 
     def to_json(self) -> list:
         """Rows {exponent, coeff}; the exponent is the integer encoding

@@ -40,17 +40,28 @@ eps/(2pi)^2 for a jet's value, gradient and Hessian; eps for each moment
 weight).  A box (2N+1)^g above 2^20 points raises TruncationError before
 any allocation.
 
-Each sum is exactly rounded (Shewchuk accumulation, math.fsum), so it is
-reproducible bitwise and does not depend on the order of its terms.
+Each sum is exactly rounded: it has the bits math.fsum gives its terms,
+so it is reproducible bitwise and does not depend on the order of its
+terms.  _coset_sums writes the real and imaginary parts of the weighted
+rows of every characteristic and degree of a coset into blocks of at
+most 256 KiB, and _row_sums sums each block with a vectorized TwoSum
+tree.  A row's tree sum is kept only where a rounding-error bound proves
+it to be fsum's; the rest, and every block too small for the tree to
+pay, go to fsum row by row.
+
 Without a z term the sum is folded over m <-> -m: the box is symmetric,
 and for a monomial of degree k the weighted term of -m is
 (-1)^(|a| + k) times that of m, bit for bit.  So a degree with |a| + k
 odd is exactly 0 and is returned as +0.0 without summing (odd
 characteristics give value and Hessian exactly 0 at z = 0, even ones
-give gradient exactly 0), and every other sum is the fsum of the origin
-term once and of twice the terms after it.  Doubling is exact and
-leaves the exact sum as it was, so the fold returns the bits of the
-full-box sum from half the exponentials.
+give gradient exactly 0), and every other sum is the exactly rounded
+sum of the origin term once and of twice the terms after it.  Doubling
+is exact and leaves the exact sum as it was, so the fold returns the
+bits of the full-box sum from half the exponentials.
+
+The radius scan builds the one-dimensional Gaussian terms of each
+(lambda, parity) once (_AxisSums) and takes each radius's sum from a
+prefix of them.
 
 A Moments record is the thetanull data of one characteristic, with t2
 and t4 the full symmetric g^2 and g^4 arrays, and the only owner of
@@ -106,6 +117,13 @@ _MAX_BOX_POINTS = 2**20
 
 _PHASES = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
+#: unit roundoff of float64
+_U = 2.0**-53
+#: largest block of real rows _row_sums takes at once, in bytes
+_BLOCK_BYTES = 2**18
+#: blocks of fewer terms than this are summed with fsum row by row
+_TREE_MIN_TERMS = 4096
+
 
 class TruncationError(ValueError):
     """Requested accuracy unreachable (tau too close to the boundary)."""
@@ -119,27 +137,57 @@ class NearZeroThetanull(ArithmeticError):
 # truncation bounds
 # ----------------------------------------------------------------------
 
-def _one_dim_sums(lam: float, r: float, shift: int, nrad: int) -> tuple[float, float]:
-    """(S, T): S = sum of h(|x|) over lattice points x in Z + shift/2 with
-    |x| <= nrad, and T = certified upper bound for the rest, where
-    h(x) = exp(-pi lam x^2 + 2 pi r x).  T = inf when the geometric
-    bound does not yet apply at radius nrad."""
-    if shift:
-        xs = np.arange(0.5, nrad + 0.25, 1.0)
-        inside = fsum(2.0 * np.exp(-math.pi * lam * xs * xs + 2 * math.pi * r * xs))
-        x1 = nrad + 0.5
-    else:
-        xs = np.arange(1.0, nrad + 0.5, 1.0)
-        inside = 1.0 + fsum(2.0 * np.exp(-math.pi * lam * xs * xs + 2 * math.pi * r * xs))
-        x1 = float(nrad + 1)
-    rho = math.exp(-math.pi * lam * (2 * x1 + 1) + 2 * math.pi * r)
-    if rho >= 1.0:
-        return inside, math.inf
-    h1 = math.exp(-math.pi * lam * x1 * x1 + 2 * math.pi * r * x1)
-    return inside, 2.0 * h1 / (1.0 - rho)
+class _AxisSums:
+    """The one-dimensional sums of h(x) = exp(-pi lam x^2 + 2 pi r x) for
+    one r, at any lam, parity and radius.
+
+    The terms 2 h(x) of one (lam, parity) are one np.exp over the first
+    radii, rebuilt at twice the length when a larger radius is asked for,
+    and the sum at radius N is the fsum of the first N of them.  Every
+    element is computed by the same elementwise expression whatever the
+    length of the array (tests check that np.exp gives a prefix the bits
+    of the shorter array), so each (S, T) has the bits of building the
+    terms up to N alone.  Overflow past the radii read is ignored: those
+    terms are never summed.
+    """
+
+    def __init__(self, r: float):
+        self.r = r
+        self._terms: dict[tuple[float, int], list[float]] = {}
+        self._sums: dict[tuple[float, int, int], tuple[float, float]] = {}
+
+    def __call__(self, lam: float, shift: int, nrad: int) -> tuple[float, float]:
+        """(S, T): S = sum of h(|x|) over lattice points x in Z + shift/2
+        with |x| <= nrad, and T = certified upper bound for the rest.
+        T = inf when the geometric bound does not yet apply at radius
+        nrad."""
+        key = (lam, shift, nrad)
+        if key not in self._sums:
+            self._sums[key] = self._one_dim_sums(lam, shift, nrad)
+        return self._sums[key]
+
+    def _one_dim_sums(self, lam: float, shift: int, nrad: int) -> tuple[float, float]:
+        r = self.r
+        terms = self._terms.setdefault((lam, shift), [])
+        if len(terms) < nrad:
+            size = max(nrad, 2 * len(terms), 8)
+            xs = np.arange(0.5, size + 0.25, 1.0) if shift else np.arange(1.0, size + 0.5, 1.0)
+            with np.errstate(over="ignore"):
+                terms[:] = (2.0 * np.exp(-math.pi * lam * xs * xs + 2 * math.pi * r * xs)).tolist()
+        if shift:
+            inside = fsum(terms[:nrad])
+            x1 = nrad + 0.5
+        else:
+            inside = 1.0 + fsum(terms[:nrad])
+            x1 = float(nrad + 1)
+        rho = math.exp(-math.pi * lam * (2 * x1 + 1) + 2 * math.pi * r)
+        if rho >= 1.0:
+            return inside, math.inf
+        h1 = math.exp(-math.pi * lam * x1 * x1 + 2 * math.pi * r * x1)
+        return inside, 2.0 * h1 / (1.0 - rho)
 
 
-def _tail_product(lam: float, r: float, shifts, nrad: int) -> float:
+def _tail_product(axis: _AxisSums, lam: float, shifts, nrad: int) -> float:
     """prod(S_j + T_j) - prod(S_j) over the axes, from the one-dimensional
     sums of exp(-pi lam x^2 + 2 pi r x); inf when some T_j is.
 
@@ -151,11 +199,11 @@ def _tail_product(lam: float, r: float, shifts, nrad: int) -> float:
     sums, tails = [], []
     for aj in shifts:
         if aj == "any":
-            s0, t0 = _one_dim_sums(lam, r, 0, nrad)
-            s1, t1 = _one_dim_sums(lam, r, 1, nrad)
+            s0, t0 = axis(lam, 0, nrad)
+            s1, t1 = axis(lam, 1, nrad)
             s, t = max(s0, s1), max(t0, t1)
         else:
-            s, t = _one_dim_sums(lam, r, aj % 2, nrad)
+            s, t = axis(lam, aj % 2, nrad)
         if math.isinf(t):
             return math.inf
         sums.append(s)
@@ -173,10 +221,10 @@ def _tail_product(lam: float, r: float, shifts, nrad: int) -> float:
     return diff
 
 
-def _box_tails(lam: float, r: float, shifts, nrad: int, weights) -> dict[int, float]:
+def _box_tails(axis: _AxisSums, lam: float, shifts, nrad: int, weights) -> dict[int, float]:
     """Certified bounds, for each w in weights, on the sum of
     |m|^w * exp(-pi lam |m|^2 + 2 pi r |m|) over lattice points m outside
-    the box |m_j| <= nrad.
+    the box |m_j| <= nrad, r = axis.r.
 
     Weight 0 is the plain Gaussian tail.  A weight w >= 1 uses
     |m|^w <= C_w exp(pi (lam/2) |m|^2), C_w the analytic maximum, so all
@@ -184,10 +232,10 @@ def _box_tails(lam: float, r: float, shifts, nrad: int, weights) -> dict[int, fl
     """
     bounds = {}
     if 0 in weights:
-        bounds[0] = _tail_product(lam, r, shifts, nrad)
+        bounds[0] = _tail_product(axis, lam, shifts, nrad)
     if any(weights):
         half = lam / 2.0
-        diff = _tail_product(lam - half, r, shifts, nrad)
+        diff = _tail_product(axis, lam - half, shifts, nrad)
         for w in weights:
             if w:
                 scale = (w / (2.0 * math.pi * half * math.e)) ** (w / 2.0)
@@ -216,13 +264,13 @@ def _radius_scan(tau: SiegelPoint, z, shifts, eps_by_weight: dict) -> tuple[int,
     lam = tau.lambda_min
     if lam <= PD_MARGIN:
         raise HalfSpaceError("Im(tau) is not positive definite with margin")
-    r = _imag_norm(z, tau.genus)
+    axis = _AxisSums(_imag_norm(z, tau.genus))
     open_weights = list(eps_by_weight)
     for nrad in range(1, _MAX_RADIUS + 1):
         if (2 * nrad + 1) ** tau.genus > _MAX_BOX_POINTS:
             raise TruncationError(f"eps={eps_by_weight[open_weights[0]]:g} needs more than "
                                   f"{_MAX_BOX_POINTS} lattice points (lambda_min={lam:g})")
-        bounds = _box_tails(lam, r, shifts, nrad, eps_by_weight)
+        bounds = _box_tails(axis, lam, shifts, nrad, eps_by_weight)
         open_weights = [w for w in open_weights if not bounds[w] <= eps_by_weight[w]]
         if not open_weights:
             return nrad, bounds
@@ -257,20 +305,13 @@ def _imag_norm(z, genus: int) -> float:
 # lattice enumeration and exact summation
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
 def _lattice_two_m(a_prime: tuple[int, ...], nrad: int) -> np.ndarray:
     """Integer array of doubled lattice points 2m = 2n + a' with
-    |m_j| <= nrad, in lexicographic order."""
-    axes = []
-    for aj in a_prime:
-        if aj % 2 == 0:
-            axes.append(np.arange(-2 * nrad, 2 * nrad + 1, 2, dtype=np.int64))
-        else:
-            axes.append(np.arange(-2 * nrad + 1, 2 * nrad, 2, dtype=np.int64))
-    grids = np.meshgrid(*axes, indexing="ij")
-    two_m = np.stack([gr.reshape(-1) for gr in grids], axis=1)
-    two_m.setflags(write=False)
-    return two_m
+    |m_j| <= nrad, in lexicographic order.  Built per call and not kept:
+    a box near the _MAX_BOX_POINTS guard is 25 MB at genus 3."""
+    low = np.array([2 * nrad - aj % 2 for aj in a_prime], dtype=np.int64)
+    index = np.indices([2 * nrad + 1 - aj % 2 for aj in a_prime], dtype=np.int64)
+    return 2 * index.reshape(len(a_prime), -1).T - low
 
 
 def _exp_terms(two_m: np.ndarray, tau: np.ndarray, z) -> np.ndarray:
@@ -315,6 +356,103 @@ def _basis(genus: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return keys, index
 
 
+def _row_sums(block: np.ndarray) -> list[float]:
+    """[math.fsum(row) for row in block], bit for bit, for a C-contiguous
+    2-D float64 block, from a vectorized TwoSum tree.
+
+    Method (Ogita, Rump and Oishi, "Accurate sum and dot product", SIAM J.
+    Sci. Comput. 26, 2005; Rump, Ogita and Oishi, "Accurate floating-point
+    summation I", SIAM J. Sci. Comput. 31, 2008).  Each level of the tree
+    adds the first half of the columns to the second half (an odd last
+    column passes up unchanged) with TwoSum: s = fl(a + b), b' = s - a,
+    e = (a - (s - b')) + (b - b').  A row of n terms ends as its top sum
+    and its m = n - 1 errors E.  Level by level the errors are added into
+    sigma = fl(sum E) and A' = fl(sum |E|), each an order of m additions
+    (the first, to 0, exact).  Then (r, f) = TwoSum(top, sigma), and r is
+    returned when
+
+        fl(|f| + fl(c A')) < h,   c = 4 m u,   u = 2^-53,
+
+    with h = fl(g / 2) and g = |r - nextafter(r, 0)|, the smaller of the
+    two gaps beside r.  Any other row is fsum'd.
+
+    Proof that an accepted r is fsum's.  fsum returns the exact sum s
+    rounded to nearest, ties to even, unless a partial sum overflows.
+    - TwoSum is exact: a + b = s + e whenever s does not overflow.  An
+      addition whose result underflows is itself exact, so this holds
+      among subnormals too.  By induction over the tree, s = top + sum E,
+      and r + f = top + sigma exactly.
+    - Any order of m additions gives |sigma - sum E| <= gamma_{m-1} A,
+      with A = sum |E| and gamma_k = k u / (1 - k u); the same bound on A'
+      gives A <= A' / (1 - gamma_{m-1}).  For (m - 1) u <= 1/4 (any block
+      that fits in memory) the two give gamma_{m-1} A <= 2 m u A'
+      = (c/2) A'.
+    - The bound is itself rounded.  c is exact (m times a power of two).
+      If c A' is normal, fl(c A') >= (1 - u) c A' >= (c/2) A'; if it is
+      subnormal, fl(c A') >= c A' - 2^-1075.  Either way
+      gamma_{m-1} A <= fl(c A') + 2^-1075.
+    - Rounding to nearest is monotone and h is a float, so
+      fl(|f| + fl(c A')) < h gives |f| + fl(c A') < h exactly.  Both sides
+      are multiples of 2^-1074, as every float is, so
+      |f| + fl(c A') <= h - 2^-1074.
+    - Hence |s - r| = |f - (sigma - sum E)| <= |f| + gamma_{m-1} A
+      <= h - 2^-1075 < h.  g is exact (Sterbenz), and so is h = g / 2
+      unless g = 2^-1074, where h = 0 and nothing is accepted.  So s lies
+      strictly inside the interval of reals that round to r; strictness
+      keeps s off the two ties at its ends, where the rounding would
+      depend on the last bit of r.  fsum returns r.
+    At r = 0 the gap is 0 and nothing is accepted, which leaves the sign
+    of a zero sum to fsum.  fsum raises OverflowError when a partial sum
+    in its input order overflows, which the tree's order need not meet,
+    and ValueError on inf - inf.  So a block holding an inf or a nan, or
+    whose largest |x| is at least 2^1000 / n, is fsum'd row by row, which
+    raises or returns inf or nan exactly as fsum does.  Below that bound
+    every partial sum of any order is below 2^1000, and no step of the
+    tree or of fsum overflows.
+
+    Two sizes are measured, not tuned per workload.  _coset_sums caps a
+    block at _BLOCK_BYTES (256 KiB): the tree's temporaries add about 1.5
+    times the block, and caps of 2 MiB and 8 MiB raised the peak RSS of
+    a genus-2 campaign round from 42 to 47-48 MiB at the same speed.  A
+    block of fewer than _TREE_MIN_TERMS (4096) terms is fsum'd row by
+    row: each level of the tree costs a dozen numpy calls whatever its
+    size, and below about 3000 to 4000 terms fsum of the rows is faster.
+    """
+    rows, n = block.shape
+    if rows * n < _TREE_MIN_TERMS or not max(block.max(), -block.min()) < 2.0**1000 / n:
+        return [fsum(row) for row in block.tolist()]
+    x = block
+    sigma = np.zeros(rows)
+    mag = np.zeros(rows)
+    while x.shape[1] > 1:
+        h = x.shape[1] // 2
+        a, b = x[:, :h], x[:, h:2 * h]
+        if x.shape[1] % 2:
+            up = np.empty((rows, h + 1))
+            up[:, h] = x[:, 2 * h]
+            s = np.add(a, b, out=up[:, :h])
+        else:
+            s = up = a + b
+        bb = s - a
+        e = s - bb
+        np.subtract(a, e, out=e)
+        np.subtract(b, bb, out=bb)
+        e += bb
+        sigma += e.sum(axis=1)
+        mag += np.abs(e, out=e).sum(axis=1)
+        x = up
+    top = x[:, 0]
+    r = top + sigma
+    bb = r - top
+    f = (top - (r - bb)) + (sigma - bb)
+    gap = np.abs(r - np.nextafter(r, 0.0))
+    accept = np.abs(f) + (4.0 * (n - 1) * _U) * mag < gap / 2
+    out = r.tolist()
+    for i in np.flatnonzero(~accept).tolist():
+        out[i] = fsum(block[i].tolist())
+    return out
+
+
 def _coset_sums(
     coset, z, tau: SiegelPoint, nrad: int, degrees
 ) -> dict[Characteristic, dict[int, list[complex]]]:
@@ -331,11 +469,16 @@ def _coset_sums(
     of -m is bitwise that of m, the phase picks up (-1)^|a| and a weight
     of degree k picks up (-1)^k.  So every sum of a degree with k + |a|
     odd is exactly 0, returned as +0.0 + 0.0j, the bits fsum gives for
-    any zero sum; every other sum is the fsum of the origin term (present
-    when a' = 0) once and of (weight * term) * 2 over the rows after it.
-    Doubling is exact, the exact sum is unchanged, and fsum rounds it
-    exactly, so the folded sums have the bits of the full-box sums at
-    half the exponentials and half the summed terms.
+    any zero sum; every other sum is the exactly rounded sum of the
+    origin term (present when a' = 0) once and of (weight * term) * 2
+    over the rows after it.  Doubling is exact, the exact sum is
+    unchanged, and it is rounded exactly, so the folded sums have the
+    bits of the full-box sums at half the exponentials and half the
+    summed terms.
+
+    The rows are formed one at a time, in the order of the coset, the
+    degrees and _basis, and their real and imaginary parts are copied
+    into blocks of at most _BLOCK_BYTES (at least one row) for _row_sums.
     """
     two_m = _lattice_two_m(coset[0].a_prime, nrad)
     fold = _nonzero_z(z, tau.genus) is None
@@ -348,20 +491,37 @@ def _coset_sums(
     weights = {k: [reduce(operator.mul, [m[j] for j in key]) for key in _basis(tau.genus, k)[0]]
                for k in degrees if k}
     base = _exp_terms(two_m, tau.tau, z)
+    summed = {a: [k for k in degrees if not (fold and (k + a.weight) % 2)] for a in coset}
+
+    def rows():
+        for a in coset:
+            t = base * _phase_factors(two_m, a.a_double_prime)
+            for k in summed[a]:
+                for row in (w * t for w in weights[k]) if k else [t]:
+                    yield multiplicity * row if fold else row
+
+    # the real and imaginary parts of as many rows as fit in one block
+    count = sum(len(_basis(tau.genus, k)[0]) for ks in summed.values() for k in ks)
+    per_block = max(1, _BLOCK_BYTES // (16 * len(two_m)))
+    buffer = np.empty((2 * min(per_block, count), len(two_m)))
+    flat = []
+    pending = rows()
+    for start in range(0, count, per_block):
+        size = min(per_block, count - start)
+        block = buffer[:2 * size]
+        for i, row in zip(range(size), pending):
+            block[i] = row.real
+            block[size + i] = row.imag
+        parts = _row_sums(block)
+        flat.extend(map(complex, parts[:size], parts[size:]))
+
     out = {}
+    sums = iter(flat)
     for a in coset:
-        t = base * _phase_factors(two_m, a.a_double_prime)
-        sums = {}
+        out[a] = {}
         for k in degrees:
-            if fold and (k + a.weight) % 2:
-                sums[k] = [0j] * len(_basis(tau.genus, k)[0])
-                continue
-            # one weighted row alive at a time, not one box-sized row per monomial
-            rows = (w * t for w in weights[k]) if k else [t]
-            if fold:
-                rows = (multiplicity * row for row in rows)
-            sums[k] = [complex(fsum(row.real.tolist()), fsum(row.imag.tolist())) for row in rows]
-        out[a] = sums
+            size = len(_basis(tau.genus, k)[0])
+            out[a][k] = [next(sums) for _ in range(size)] if k in summed[a] else [0j] * size
     return out
 
 

@@ -1,13 +1,17 @@
 import itertools
 import math
 import operator
+import sys
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import THETA00_AT_I, mp_theta, mp_theta_moment, mp_theta_tail
 
+from siegeltheta import theta as kernel
 from siegeltheta.characteristics import Characteristic, enumerate_characteristics
 from siegeltheta.siegel import DerivationIndex, SiegelPoint
 from siegeltheta.theta import (
@@ -24,6 +28,7 @@ from siegeltheta.theta import (
     theta_moments,
     theta_values,
     truncation_radius,
+    _AxisSums,
     _box_tails,
     _radius_scan,
     _exp_terms,
@@ -123,7 +128,8 @@ def _first_certified_radius(pt, z, eps, weight, a):
     """Reference search: the first radius whose bound for weight meets eps."""
     r = 0.0 if z is None else float(np.linalg.norm(np.imag(z)))
     nrad = 1
-    while not _box_tails(pt.lambda_min, r, a.a_prime, nrad, (weight,))[weight] <= eps:
+    axis = _AxisSums(r)
+    while not _box_tails(axis, pt.lambda_min, a.a_prime, nrad, (weight,))[weight] <= eps:
         nrad += 1
     return nrad
 
@@ -151,6 +157,45 @@ def test_box_radius_is_the_largest_per_weight_radius():
             assert bounds[0] <= own[0].bound
             if own[0].radius == nrad:
                 assert bounds[0] == own[0].bound
+
+
+def _gauss_terms(lam, r, shift, nrad):
+    """2 h(x) for the first nrad lattice points x > 0 of Z + shift/2, by
+    the expression _AxisSums evaluates."""
+    xs = np.arange(0.5, nrad + 0.25, 1.0) if shift else np.arange(1.0, nrad + 0.5, 1.0)
+    return 2.0 * np.exp(-math.pi * lam * xs * xs + 2 * math.pi * r * xs)
+
+
+def test_exp_of_a_longer_array_keeps_every_prefix_bit():
+    # _AxisSums sums prefixes of one np.exp array; numpy's vectorized exp
+    # must round each element as it does in the shorter array
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        lam, r = 10 ** rng.uniform(-3, 1), rng.uniform(0, 0.5)
+        shift = int(rng.integers(2))
+        full = _gauss_terms(lam, r, shift, 200)
+        for nrad in list(range(1, 40)) + [63, 64, 65, 127, 128, 129, 199]:
+            assert _gauss_terms(lam, r, shift, nrad).tobytes() == full[:nrad].tobytes()
+
+
+def test_axis_sums_match_a_rebuild_per_radius_bitwise():
+    # the reference builds the terms of each radius from scratch
+    rng = np.random.default_rng(32)
+    for _ in range(40):
+        lam, r = 10 ** rng.uniform(-2.5, 1), rng.uniform(0, 1.5)
+        axis = _AxisSums(r)
+        for nrad in [50] + list(range(1, 70)):  # a large radius first, then growing
+            for shift in (0, 1):
+                terms = _gauss_terms(lam, r, shift, nrad)
+                inside = math.fsum(terms) if shift else 1.0 + math.fsum(terms)
+                x1 = nrad + 0.5 if shift else float(nrad + 1)
+                rho = math.exp(-math.pi * lam * (2 * x1 + 1) + 2 * math.pi * r)
+                tail = math.inf
+                if rho < 1.0:
+                    h1 = math.exp(-math.pi * lam * x1 * x1 + 2 * math.pi * r * x1)
+                    tail = 2.0 * h1 / (1.0 - rho)
+                s, t = axis(lam, shift, nrad)
+                assert (s.hex(), t.hex()) == (inside.hex(), tail.hex())
 
 
 # ----------------------------------------------------------------------
@@ -539,12 +584,12 @@ def test_lattice_box_is_symmetric_under_negation():
         assert (len(two_m) % 2 == 1) == (not any(a_prime))
 
 
-@pytest.mark.parametrize("genus", [1, 2, 3])
-def test_folded_sums_match_full_box_bitwise(genus):
-    pt = _random_point(genus, 40 + genus)
-    chars = enumerate_characteristics(genus)
+def _assert_full_box_bits(pt, chars, orders, zs):
+    """batch_moments at each order, and theta_values and theta_jet at each
+    z, have the bits of _full_box_sums at the radius each one chose."""
+    genus = pt.genus
     two_pi = 2.0 * math.pi
-    for order in (1, 2, 4):
+    for order in orders:
         moments = batch_moments(chars, pt, order=order)
         for a in chars:
             mom = moments[a]
@@ -557,7 +602,7 @@ def test_folded_sums_match_full_box_bitwise(genus):
             if order == 4:
                 t4 = [ref[tuple(sorted(key))] for key in itertools.product(range(genus), repeat=4)]
                 assert _hex(mom.t4) == _hex(t4)
-    for z in (None, np.zeros(genus)):
+    for z in zs:
         values = theta_values(chars, z, pt)
         for a in chars:
             nrad = truncation_radius(pt, z, 1e-14, 0, a).radius
@@ -570,3 +615,127 @@ def test_folded_sums_match_full_box_bitwise(genus):
             hess = [(2j * math.pi) ** 2 * ref[tuple(sorted((j, l)))]
                     for j in range(genus) for l in range(genus)]
             assert _hex(jet.z_hessian) == _hex(hess)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_folded_sums_match_full_box_bitwise(genus):
+    pt = _random_point(genus, 40 + genus)
+    _assert_full_box_bits(pt, enumerate_characteristics(genus), (1, 2, 4), (None, np.zeros(genus)))
+
+
+@pytest.mark.parametrize("genus, lam", [(2, 0.02), (3, 0.3)])
+def test_deep_boxes_sum_by_the_tree_with_the_bits_of_fsum(genus, lam, monkeypatch):
+    # at these depths nearly every term, folded or not, is in a block past
+    # the small-block rule, so it is summed by the TwoSum tree (or its
+    # fallback); a single theta_values row or the last block of a coset
+    # can be smaller
+    sizes = []
+    row_sums = kernel._row_sums
+    monkeypatch.setattr(kernel, "_row_sums", lambda block: sizes.append(block.size) or row_sums(block))
+    pt = _random_point(genus, 60 + genus)
+    pt = SiegelPoint(genus, pt.tau.real + 1j * (lam / pt.lambda_min) * pt.tau.imag)
+    z = np.random.default_rng(70 + genus).uniform(-0.3, 0.3, genus) + 0.1j
+    chars = enumerate_characteristics(genus)[:: 2 ** genus - 1]  # both parities, three cosets
+    _assert_full_box_bits(pt, chars, (4,), (None, z))
+    tree = sum(size for size in sizes if size >= kernel._TREE_MIN_TERMS)
+    assert tree >= 0.9 * sum(sizes)
+
+
+# ----------------------------------------------------------------------
+# exact row sums
+# ----------------------------------------------------------------------
+
+_TINY = 2.0**-1074
+_FINITE_ROWS = ("spread", "narrow", "subnormal", "to_zero", "to_ulp", "tie", "zeros")
+_SPECIAL_ROWS = ("inf", "-inf", "nan", "inf-inf", "overflow", "prefix_overflow", "huge")
+
+
+def _row(kind, n, rng):
+    """One adversarial row of n floats."""
+    sign = rng.choice([-1.0, 1.0], n)
+    if kind == "spread":  # 1e-300 ... 1e290: the tree still runs
+        return sign * 10.0 ** rng.uniform(-300, 290, n)
+    if kind == "narrow":
+        return rng.normal(size=n) * 2.0 ** rng.integers(-30, 30, n)
+    if kind == "subnormal":
+        return sign * rng.integers(0, 2**30, n) * _TINY
+    if kind == "zeros":
+        return rng.choice([0.0, -0.0], n)
+    if kind == "to_zero":  # pairs x, -x: the sum is exactly zero
+        half = rng.normal(size=n // 2) * 10.0 ** rng.uniform(-200, 200, n // 2)
+        return rng.permutation(np.concatenate([half, -half, [-0.0] * (n % 2)]))
+    if kind == "to_ulp":  # pairs x, -x but one moved by an ulp
+        row = _row("to_zero", n, rng)
+        i = int(np.flatnonzero(row)[0]) if np.any(row) else 0
+        row[i] = np.nextafter(row[i], 0.0) if row[i] else _TINY
+        return row
+    if kind == "tie":  # 1 + 2^-53 hidden in cancelling pairs: a tie fsum rounds to 1.0
+        return rng.permutation(np.concatenate([[1.0, 2.0**-53], _row("to_zero", max(n - 2, 0), rng)]))[:n]
+    row = _row("narrow", n, rng)
+    big = sys.float_info.max
+    specials = {
+        "inf": [math.inf],
+        "-inf": [-math.inf],
+        "nan": [math.nan],
+        "inf-inf": [math.inf, -math.inf],
+        "overflow": [big, big],
+        "prefix_overflow": [big, big, -big],  # fsum overflows; a tree order need not
+        "huge": [1e302],  # finite, but large enough to leave the tree
+    }[kind]
+    row[: len(specials)] = specials[:n]
+    return row
+
+
+@st.composite
+def _blocks(draw, kinds):
+    n = draw(st.sampled_from([1, 2, 3, 5, 8, 63, 64, 255, 256, 257, 1024, 4095, 4096, 4097]))
+    rows = draw(st.integers(1, 6))
+    if draw(st.booleans()):  # past the small-block rule: the tree
+        rows = max(rows, -(-kernel._TREE_MIN_TERMS // n))
+    chosen = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.array([_row(chosen[i % len(chosen)], n, rng) for i in range(rows)])
+
+
+def _fsum_outcome(block):
+    """fsum's hex of every row, or the first row's exception as (type, message)."""
+    out = []
+    for row in block.tolist():
+        try:
+            out.append(math.fsum(row).hex())
+        except (OverflowError, ValueError) as exc:
+            return type(exc), str(exc)
+    return out
+
+
+def _row_sums_outcome(block):
+    try:
+        return [v.hex() for v in kernel._row_sums(block)]
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_blocks(_FINITE_ROWS))
+def test_row_sums_are_fsum_bit_for_bit(block):
+    assert _row_sums_outcome(block) == _fsum_outcome(block)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_blocks(_FINITE_ROWS + _SPECIAL_ROWS))
+def test_row_sums_fail_and_overflow_as_fsum_does(block):
+    assert _row_sums_outcome(block) == _fsum_outcome(block)
+
+
+def test_row_sums_fall_back_to_fsum_exactly_where_the_bound_fails(monkeypatch):
+    rng = np.random.default_rng(7)
+    n = 4097
+    easy = rng.normal(size=n)
+    block = np.array([easy, _row("tie", n, rng), _row("to_zero", n, rng), easy[::-1]])
+    calls = []
+    monkeypatch.setattr(kernel, "fsum", lambda row: calls.append(row) or math.fsum(row))
+    got = kernel._row_sums(block)
+    assert [v.hex() for v in got] == _fsum_outcome(block)
+    assert got[1] == 1.0 and math.copysign(1.0, got[2]) == 1.0
+    # the tie (no bound can separate it from its neighbours) and the zero
+    assert calls == [block[1].tolist(), block[2].tolist()]
