@@ -316,13 +316,47 @@ def _lattice_two_m(a_prime: tuple[int, ...], nrad: int) -> np.ndarray:
 
 def _exp_terms(two_m: np.ndarray, tau: np.ndarray, z) -> np.ndarray:
     """exp(pi i m^t tau m + 2 pi i m^t z) for every lattice row (phase of
-    a'' excluded; that factor is exact and applied separately)."""
+    a'' excluded; that factor is exact and applied separately).
+
+    The magnitude is exp(-pi m^t (Im tau) m - 2 pi m^t (Im z)).  The phase
+    is reduced mod 2 pi by exact steps before it meets pi, so it carries
+    the rounding error of a number below 3, not that of
+    pi m^t (Re tau) m, which reaches 10^5 in the boxes of deep
+    transformed points:
+    - X = Re tau taken mod 8 entrywise leaves exp(pi i m^t X m) as it was
+      (each m_j m_l is a multiple of 1/4), and Y = Re z taken mod 2
+      leaves exp(2 pi i m^t Y) (each 2 m_j is an integer); fmod is exact;
+    - X = X_hi + X_lo and Y = Y_hi + Y_lo with X_hi, Y_hi on the grid
+      2^-24 and X_lo, Y_lo in [0, 2^-24) (_grid_split);
+    - with |m_j| <= 400, m^t X_hi m + 2 m^t Y_hi is a multiple of 2^-26
+      below 2^25, so every product and partial sum of it is exact, in any
+      order, and so is its residue mod 2;
+    - the rest, m^t X_lo m + 2 m^t Y_lo, is below 0.1 and rounded.
+    The exact part is the same for m and -m, and one einsum forms the
+    rest of every row as the magnitude's einsum does, so at z = 0 the
+    term of -m keeps the bits of the term of m, as the fold requires.
+    """
     m = two_m.astype(np.float64) / 2.0
-    expo = 1j * math.pi * np.einsum("bj,jl,bl->b", m, tau, m)
+    whole, rest = np.einsum("bj,kjl,bl->kb", m, np.array(_grid_split(tau.real, 8.0)), m)
+    magnitude = -math.pi * np.einsum("bj,jl,bl->b", m, tau.imag, m)
     zz = _nonzero_z(z, two_m.shape[1])
     if zz is not None:
-        expo = expo + 2j * math.pi * (m @ zz)
+        whole_z, rest_z = np.array(_grid_split(zz.real, 2.0)) @ m.T
+        whole = whole + 2.0 * whole_z
+        rest = rest + 2.0 * rest_z
+        magnitude = magnitude - 2 * math.pi * (m @ zz.imag)
+    expo = np.empty(len(m), dtype=complex)
+    expo.real = magnitude
+    expo.imag = math.pi * ((whole - 2.0 * np.floor(whole / 2.0)) + rest)
     return np.exp(expo)
+
+
+def _grid_split(x: np.ndarray, period: float) -> tuple[np.ndarray, np.ndarray]:
+    """(x_hi, x_lo) with x_hi + x_lo = fmod(x, period), x_hi on the grid
+    2^-24 and 0 <= x_lo < 2^-24; exact for period <= 8."""
+    x = np.fmod(x, period)
+    x_hi = np.floor(x * 2.0**24) / 2.0**24
+    return x_hi, x - x_hi
 
 
 def _nonzero_z(z, genus: int):
@@ -331,7 +365,7 @@ def _nonzero_z(z, genus: int):
     if z is None:
         return None
     zz = np.asarray(z, dtype=complex).reshape(genus)
-    return zz if np.any(zz != 0) else None
+    return zz if zz.any() else None
 
 
 def _phase_factors(two_m: np.ndarray, a_double_prime) -> np.ndarray:
@@ -501,19 +535,13 @@ def _coset_sums(
                     yield multiplicity * row if fold else row
 
     # the real and imaginary parts of as many rows as fit in one block
-    count = sum(len(_basis(tau.genus, k)[0]) for ks in summed.values() for k in ks)
     per_block = max(1, _BLOCK_BYTES // (16 * len(two_m)))
-    buffer = np.empty((2 * min(per_block, count), len(two_m)))
-    flat = []
     pending = rows()
-    for start in range(0, count, per_block):
-        size = min(per_block, count - start)
-        block = buffer[:2 * size]
-        for i, row in zip(range(size), pending):
-            block[i] = row.real
-            block[size + i] = row.imag
-        parts = _row_sums(block)
-        flat.extend(map(complex, parts[:size], parts[size:]))
+    flat = []
+    while chunk := list(itertools.islice(pending, per_block)):
+        block = np.array(chunk)
+        parts = _row_sums(np.concatenate([block.real, block.imag]))
+        flat.extend(map(complex, parts[:len(chunk)], parts[len(chunk):]))
 
     out = {}
     sums = iter(flat)

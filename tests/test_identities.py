@@ -77,6 +77,7 @@ def test_checks_own_their_tolerance_floors():
     assert identities.check_heat_equation(1, plan, tol=1e-12).tolerance == 1e-8
     assert identities.check_heat_equation(1, plan, tol=1e-6).tolerance == 1e-6
     assert identities.check_phi_leading(2, plan, tol=1e-12).tolerance == 1e-8
+    assert identities.effective_tol("transformation", 1e-12) == 1e-9
     assert check_riemann_quartic(1, plan, tol=1e-12).tolerance == 1e-12
 
 
@@ -343,11 +344,9 @@ def test_genus1_transformation_sums_each_point_once(monkeypatch):
     assert len(calls) == (1 + identities._GAMMA_COUNT) * plan.count == 11 * plan.count
 
 
-@pytest.mark.xfail(
-    raises=AssertionError,
-    reason="ROADMAP fix-first 1: the phase pi m^t (Re tau) m loses bits at deep transformed "
-    "points; fails at 1.33e-8 > 1e-8, witness gamma=8 sample=0 pair=00,02 (weight 2)",
-)
 def test_genus2_transformation_passes_at_seed_11():
+    # the deep transformed point of word 8 has |Re g tau| up to 16 and box
+    # radius 60; with the phase pi m^t (Re tau) m unreduced the check
+    # failed at 1.33e-8 (witness gamma=8 sample=0 pair=00,02, weight 2)
     check = identities.check_transformation_laws(2, SamplePlan(seed=11, count=1))
     assert check.status == "pass", f"{check.max_rel_residual:.4e} at {check.witness}"

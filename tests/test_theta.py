@@ -209,6 +209,37 @@ def test_theta00_at_i_against_50_digit_oracle():
     assert jet.value.imag == 0.0  # conjugate-symmetric lattice at purely imaginary tau
 
 
+def test_large_real_parts_against_50_digit_oracle():
+    # an anisotropic genus-2 point with Re tau and Re z far from 0: the
+    # phase pi m^t (Re tau) m reaches 10^8 in the box, so it must be
+    # reduced exactly (an unreduced phase is off by about 2e-10 here)
+    x = np.array([[2.0e6 + 0.3, -7.0e5 - 0.45], [-7.0e5 - 0.45, 3.0e5 + 0.8]])
+    tau = SiegelPoint(2, x + 1j * np.array([[0.5, 0.2], [0.2, 1.6]]))
+    z = np.array([1.0e5 + 0.2 + 0.05j, -3.0e4 + 0.1 - 0.1j])
+    even = [Characteristic(2, (0, 0), (0, 0)), Characteristic(2, (1, 0), (0, 1)),
+            Characteristic(2, (1, 1), (0, 0))]
+    odd = [Characteristic(2, (1, 0), (1, 1)), Characteristic(2, (1, 1), (0, 1))]
+    values = theta_values(even + odd, z, tau)
+    nulls = theta_values(even, None, tau)
+    moments = batch_moments(even, tau, order=2)
+    t = tau.tau.tolist()
+    for a in even + odd:
+        ref = complex(mp_theta(a.a_prime, a.a_double_prime, z.tolist(), t, radius=12))
+        assert abs(values[a] - ref) < 1e-13
+    for a in even:
+        assert abs(nulls[a] - complex(mp_theta(a.a_prime, a.a_double_prime, None, t, radius=12))) < 1e-13
+        ref = complex(mp_theta_moment(a.a_prime, a.a_double_prime, t, (1, 1), radius=12))
+        assert abs(moments[a].t2[0, 1] - ref) < 1e-13
+
+
+def test_theta00_is_periodic_in_re_tau_to_the_bit():
+    # theta_00(tau + 8k) = theta_00(tau), and 8k is reduced away exactly
+    at_i = theta_values([C00], None, TAU_I)[C00]
+    for x in (200.0, 2e6, 2e12, 1e17):
+        shifted = SiegelPoint(1, np.array([[x + 1j]]))
+        assert theta_values([C00], None, shifted)[C00] == at_i
+
+
 def test_odd_characteristic_exact_zeros_at_origin():
     for genus in (1, 2, 3):
         for a in enumerate_characteristics(genus, "odd"):
