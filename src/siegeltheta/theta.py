@@ -174,16 +174,17 @@ class _AxisSums:
             xs = np.arange(0.5, size + 0.25, 1.0) if shift else np.arange(1.0, size + 0.5, 1.0)
             with np.errstate(over="ignore"):
                 terms[:] = (2.0 * np.exp(-math.pi * lam * xs * xs + 2 * math.pi * r * xs)).tolist()
-        if shift:
-            inside = fsum(terms[:nrad])
-            x1 = nrad + 0.5
-        else:
-            inside = 1.0 + fsum(terms[:nrad])
-            x1 = float(nrad + 1)
-        rho = math.exp(-math.pi * lam * (2 * x1 + 1) + 2 * math.pi * r)
-        if rho >= 1.0:
-            return inside, math.inf
-        h1 = math.exp(-math.pi * lam * x1 * x1 + 2 * math.pi * r * x1)
+        x1 = nrad + 0.5 if shift else float(nrad + 1)
+        try:
+            inside = fsum(terms[:nrad]) if shift else 1.0 + fsum(terms[:nrad])
+            rho = math.exp(-math.pi * lam * (2 * x1 + 1) + 2 * math.pi * r)
+            if rho >= 1.0:
+                return inside, math.inf
+            h1 = math.exp(-math.pi * lam * x1 * x1 + 2 * math.pi * r * x1)
+        except OverflowError:
+            # terms beyond the float range (|Im z| large against lam):
+            # no bound at this radius, so the scan goes on or refuses
+            return math.inf, math.inf
         return inside, 2.0 * h1 / (1.0 - rho)
 
 

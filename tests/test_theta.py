@@ -124,6 +124,15 @@ def test_truncation_radius_refuses_box_beyond_point_budget():
     assert res.radius == 179 and res.bound <= 1e-14
 
 
+def test_truncation_radius_refuses_terms_beyond_the_float_range():
+    # |Im z| = 2 against lambda_min = 0.01: the one-dimensional terms peak
+    # near exp(1256), past the float range; the scan finds no bound
+    # instead of raising OverflowError from math.exp
+    tau = SiegelPoint(1, np.array([[0.01j]]))
+    with pytest.raises(TruncationError, match="no radius"):
+        theta_jet(C00, np.array([2j]), tau)
+
+
 def _first_certified_radius(pt, z, eps, weight, a):
     """Reference search: the first radius whose bound for weight meets eps."""
     r = 0.0 if z is None else float(np.linalg.norm(np.imag(z)))
