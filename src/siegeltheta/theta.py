@@ -535,14 +535,21 @@ def _coset_sums(
                 for row in (w * t for w in weights[k]) if k else [t]:
                     yield multiplicity * row if fold else row
 
-    # the real and imaginary parts of as many rows as fit in one block
+    # the real and imaginary parts of as many rows as fit in one block,
+    # written into one buffer as each row is formed
+    count = sum(len(_basis(tau.genus, k)[0]) for ks in summed.values() for k in ks)
     per_block = max(1, _BLOCK_BYTES // (16 * len(two_m)))
+    buffer = np.empty((2 * min(per_block, count), len(two_m)))
     pending = rows()
     flat = []
-    while chunk := list(itertools.islice(pending, per_block)):
-        block = np.array(chunk)
-        parts = _row_sums(np.concatenate([block.real, block.imag]))
-        flat.extend(map(complex, parts[:len(chunk)], parts[len(chunk):]))
+    for start in range(0, count, per_block):
+        size = min(per_block, count - start)
+        block = buffer[:2 * size]
+        for i, row in zip(range(size), pending):
+            block[i] = row.real
+            block[size + i] = row.imag
+        parts = _row_sums(block)
+        flat.extend(map(complex, parts[:size], parts[size:]))
 
     out = {}
     sums = iter(flat)
