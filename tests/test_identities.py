@@ -346,7 +346,7 @@ def test_genus1_transformation_sums_each_point_once(monkeypatch):
 
 def test_genus2_transformation_passes_at_seed_11():
     # the deep transformed point of word 8 has |Re g tau| up to 16 and box
-    # radius 60; with the phase pi m^t (Re tau) m unreduced the check
-    # failed at 1.33e-8 (witness gamma=8 sample=0 pair=00,02, weight 2)
+    # radius 60, where an unreduced phase pi m^t (Re tau) m puts the
+    # weight-2 law of pair 00,02 at 1.3e-8
     check = identities.check_transformation_laws(2, SamplePlan(seed=11, count=1))
     assert check.status == "pass", f"{check.max_rel_residual:.4e} at {check.witness}"
