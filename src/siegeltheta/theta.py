@@ -29,23 +29,28 @@ computed from fourth-order z-derivative data, never by tau differencing.
 
 One basis, _basis(g, k), orders the monomials of degree k everywhere: the
 sorted index tuples in lexicographic order, with the map from each of the
-g^k index tuples to its monomial.  One engine, _coset_sums, does every
-lattice sum: for the characteristics of one a' coset it returns, per
-degree k in (0, 1, 2, 4), the exactly rounded sums of m_j ... m_p term(m)
-in that order.  One batch loop, _sums, serves theta_jet, theta_values and
-batch_moments, which choose only the degrees and the eps per weight; it
-scans the radii once per coset (_radius_scan) and takes the largest over
-the weights of the first radius that certifies each (eps, eps/2pi,
-eps/(2pi)^2 for a jet's value, gradient and Hessian; eps for each moment
-weight).  A box (2N+1)^g above 2^20 points raises TruncationError before
-any allocation.
+g^k index tuples to its monomial.  One batch loop, _sums, does every
+lattice sum, and a kernel call is one pass of it over its point:
+theta_jet, theta_values and batch_moments choose only the degrees and
+the eps per weight.  _sums scans the radii of every a' coset
+(_radius_scan, all cosets reading one _AxisSums) before it builds any
+lattice, taking the largest over the weights of the first radius that
+certifies each (eps, eps/2pi, eps/(2pi)^2 for a jet's value, gradient
+and Hessian; eps for each moment weight).  A box (2N+1)^g above 2^20
+points raises TruncationError before any allocation.  _group_sums then
+returns, per degree k in (0, 1, 2, 4), the exactly rounded sums of
+m_j ... m_p term(m) in that order for the characteristics of a group of
+consecutive cosets: their lattices are concatenated into one
+_exp_terms while the group holds at most 2^14 summed points, and a
+deeper box runs alone.
 
 Each sum is exactly rounded: it has the bits math.fsum gives its terms,
 so it is reproducible bitwise and does not depend on the order of its
-terms.  _coset_sums writes the real and imaginary parts of the weighted
-rows of every characteristic and degree of a coset into blocks of at
-most 256 KiB, and _row_sums sums each block with a vectorized TwoSum
-tree.  A row's tree sum is kept only where a rounding-error bound proves
+terms, nor on the group its coset was summed in.  _group_sums writes the
+real and imaginary parts of the weighted rows of every characteristic
+and degree of a group into blocks of at most 256 KiB (a shorter box's
+rows padded with -0.0), and _row_sums sums each block with a vectorized
+TwoSum tree.  A row's tree sum is kept only where a rounding-error bound proves
 it to be fsum's; the rest, and every block too small for the tree to
 pay, go to fsum row by row.
 
@@ -123,6 +128,9 @@ _U = 2.0**-53
 _BLOCK_BYTES = 2**18
 #: blocks of fewer terms than this are summed with fsum row by row
 _TREE_MIN_TERMS = 4096
+#: most summed lattice points a group of cosets shares in one pass: its
+#: exponentials fill at most one block
+_GROUP_POINTS = _BLOCK_BYTES // 16
 
 
 class TruncationError(ValueError):
@@ -250,7 +258,9 @@ class TruncationResult:
     bound: float
 
 
-def _radius_scan(tau: SiegelPoint, z, shifts, eps_by_weight: dict) -> tuple[int, dict]:
+def _radius_scan(
+    tau: SiegelPoint, z, shifts, eps_by_weight: dict, axis: _AxisSums | None = None
+) -> tuple[int, dict]:
     """The one radius search: the smallest N at which every weight w has
     certified tail <= eps_by_weight[w], with the bound of each weight at N.
 
@@ -258,14 +268,16 @@ def _radius_scan(tau: SiegelPoint, z, shifts, eps_by_weight: dict) -> tuple[int,
     once per radius.  Each weight is certified at the first radius whose
     bound meets its eps, so N is the largest of the per-weight radii.  A
     box of more than _MAX_BOX_POINTS points raises TruncationError naming
-    the eps of the first weight still open.
+    the eps of the first weight still open.  axis, when given, is the
+    _AxisSums of z, shared by the scans of one point.
     """
     if not all(0 < e < math.inf for e in eps_by_weight.values()):
         raise ValueError("eps must be finite and positive")
     lam = tau.lambda_min
     if lam <= PD_MARGIN:
         raise HalfSpaceError("Im(tau) is not positive definite with margin")
-    axis = _AxisSums(_imag_norm(z, tau.genus))
+    if axis is None:
+        axis = _AxisSums(_imag_norm(z, tau.genus))
     open_weights = list(eps_by_weight)
     for nrad in range(1, _MAX_RADIUS + 1):
         if (2 * nrad + 1) ** tau.genus > _MAX_BOX_POINTS:
@@ -445,7 +457,7 @@ def _row_sums(block: np.ndarray) -> list[float]:
     every partial sum of any order is below 2^1000, and no step of the
     tree or of fsum overflows.
 
-    Two sizes are measured, not tuned per workload.  _coset_sums caps a
+    Two sizes are measured, not tuned per workload.  _group_sums caps a
     block at _BLOCK_BYTES (256 KiB): the tree's temporaries add about 1.5
     times the block, and caps of 2 MiB and 8 MiB raised the peak RSS of
     a genus-2 campaign round from 42 to 47-48 MiB at the same speed.  A
@@ -488,18 +500,36 @@ def _row_sums(block: np.ndarray) -> list[float]:
     return out
 
 
-def _coset_sums(
-    coset, z, tau: SiegelPoint, nrad: int, degrees
-) -> dict[Characteristic, dict[int, list[complex]]]:
-    """{a: {k: sums}} for one a' coset: per degree k, the exactly rounded
-    sums of m_j ... m_p term(m) over the box, one per row of
-    _basis(g, k)[0].  The lattice, the weight rows m_j ... m_p and the
-    exponentials are shared by the coset.  Each weight is exact whatever
-    the order of its product: the m are half-integers with
+def _box_points(a_prime, nrad: int) -> int:
+    """The number of rows of _lattice_two_m(a_prime, nrad)."""
+    return math.prod(2 * nrad + 1 - aj % 2 for aj in a_prime)
+
+
+def _summed_box(a_prime, nrad: int, fold: bool) -> np.ndarray:
+    """The doubled lattice points of one box that are summed: every row
+    of _lattice_two_m, or with the fold the origin (present when a' = 0)
+    and the rows after it."""
+    two_m = _lattice_two_m(a_prime, nrad)
+    return two_m[len(two_m) // 2:] if fold else two_m
+
+
+def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
+    """Yield (a, {k: sums}, value bound, radius) for the characteristics of
+    a group of consecutive a' cosets, each given as (coset, radius,
+    bounds, box points): per degree k, the exactly rounded sums of
+    m_j ... m_p term(m) over the coset's box, one per row of
+    _basis(g, k)[0].
+
+    The lattices of the group are concatenated, so one _exp_terms serves
+    every coset; the phase of a'' is exact and applied per
+    characteristic, and the weight rows m_j ... m_p are formed per box,
+    since a group's would be a dozen rows of all its points.  Every term
+    and weight is formed by the same elementwise expression as for its
+    box alone.  Each weight is exact whatever the order of its product: the m are half-integers with
     |m_j| <= _MAX_RADIUS, so every partial product of up to four of them
     is K/16 with |K| <= 800^4 < 2^39.
 
-    Without a z term the sum is folded over m <-> -m.  The box is
+    With fold (no z term) each box is folded over m <-> -m.  The box is
     symmetric (row i of _lattice_two_m is minus row n-1-i), the exponent
     of -m is bitwise that of m, the phase picks up (-1)^|a| and a weight
     of degree k picks up (-1)^k.  So every sum of a degree with k + |a|
@@ -511,54 +541,82 @@ def _coset_sums(
     bits of the full-box sums at half the exponentials and half the
     summed terms.
 
-    The rows are formed one at a time, in the order of the coset, the
-    degrees and _basis, and their real and imaginary parts are copied
-    into blocks of at most _BLOCK_BYTES (at least one row) for _row_sums.
+    The rows are formed one at a time, in the order of the cosets, their
+    characteristics, the degrees and _basis, and their real and
+    imaginary parts are written into one reused buffer of blocks of at
+    most _BLOCK_BYTES (at least one row) for _row_sums.  A block is as
+    wide as the group's longest box; a shorter row is padded with -0.0,
+    which adds nothing to any sum, the sign of a zero sum included.
     """
-    two_m = _lattice_two_m(coset[0].a_prime, nrad)
-    fold = _nonzero_z(z, tau.genus) is None
-    if fold:
-        n = len(two_m)
-        two_m = two_m[n // 2:]  # the origin first when n is odd, i.e. a' = 0
-        multiplicity = np.full(len(two_m), 2.0)
-        multiplicity[0] = 2.0 - n % 2
+    spans, start = [], 0  # per coset: its rows of the group's lattice and its box points
+    for *_, n in group:
+        stop = start + (n - n // 2 if fold else n)
+        spans.append((start, stop, n))
+        start = stop
+    if len(group) == 1:
+        two_m = _summed_box(group[0][0][0].a_prime, group[0][1], fold)
+    else:
+        # filled box by box, so that one full box at a time is alive, and
+        # column-major as _lattice_two_m lays out a box: the matrix
+        # products of _exp_terms round by the layout of their operands
+        two_m = np.empty((start, tau.genus), dtype=np.int64, order="F")
+        for (coset, nrad, *_), (s, e, _) in zip(group, spans):
+            two_m[s:e] = _summed_box(coset[0].a_prime, nrad, fold)
     m = two_m.T.astype(np.float64, order="C") / 2.0  # one row per axis
-    weights = {k: [reduce(operator.mul, [m[j] for j in key]) for key in _basis(tau.genus, k)[0]]
-               for k in degrees if k}
     base = _exp_terms(two_m, tau.tau, z)
-    summed = {a: [k for k in degrees if not (fold and (k + a.weight) % 2)] for a in coset}
+    if fold:
+        multiplicity = np.full(len(two_m), 2.0)
+        for s, _, n in spans:
+            multiplicity[s] = 2.0 - n % 2  # the origin, when a' = 0
+    summed = {a: [k for k in degrees if not (fold and (k + a.weight) % 2)]
+              for coset, *_ in group for a in coset}
 
     def rows():
-        for a in coset:
-            t = base * _phase_factors(two_m, a.a_double_prime)
-            for k in summed[a]:
-                for row in (w * t for w in weights[k]) if k else [t]:
-                    yield multiplicity * row if fold else row
+        for (coset, *_), (s, e, _) in zip(group, spans):
+            box_m = m[:, s:e]
+            weights = {k: [reduce(operator.mul, [box_m[j] for j in key])
+                           for key in _basis(tau.genus, k)[0]] for k in degrees if k}
+            box_two_m, box_base = two_m[s:e], base[s:e]
+            if fold:
+                box_multiplicity = multiplicity[s:e]
+            for a in coset:
+                t = box_base * _phase_factors(box_two_m, a.a_double_prime)
+                for k in summed[a]:
+                    for row in (w * t for w in weights[k]) if k else [t]:
+                        yield box_multiplicity * row if fold else row
 
     # the real and imaginary parts of as many rows as fit in one block,
     # written into one buffer as each row is formed
     count = sum(len(_basis(tau.genus, k)[0]) for ks in summed.values() for k in ks)
-    per_block = max(1, _BLOCK_BYTES // (16 * len(two_m)))
-    buffer = np.empty((2 * min(per_block, count), len(two_m)))
+    width = max(e - s for s, e, _ in spans)
+    per_block = max(1, _BLOCK_BYTES // (16 * width))
+    buffer = np.empty((2 * min(per_block, count), width))
     pending = rows()
     flat = []
     for start in range(0, count, per_block):
         size = min(per_block, count - start)
         block = buffer[:2 * size]
         for i, row in zip(range(size), pending):
-            block[i] = row.real
-            block[size + i] = row.imag
+            n = len(row)
+            if n == width:
+                block[i] = row.real
+                block[size + i] = row.imag
+            else:
+                block[i, :n] = row.real
+                block[size + i, :n] = row.imag
+                block[i, n:] = -0.0
+                block[size + i, n:] = -0.0
         parts = _row_sums(block)
         flat.extend(map(complex, parts[:size], parts[size:]))
 
-    out = {}
     sums = iter(flat)
-    for a in coset:
-        out[a] = {}
-        for k in degrees:
-            size = len(_basis(tau.genus, k)[0])
-            out[a][k] = [next(sums) for _ in range(size)] if k in summed[a] else [0j] * size
-    return out
+    for coset, nrad, bounds, _ in group:
+        for a in coset:
+            out = {}
+            for k in degrees:
+                size = len(_basis(tau.genus, k)[0])
+                out[k] = [next(sums) for _ in range(size)] if k in summed[a] else [0j] * size
+            yield a, out, bounds[0], nrad
 
 
 # ----------------------------------------------------------------------
@@ -591,7 +649,8 @@ class Moments:
     value = theta_a(0, tau); t1[j] = sum m_j term (equals the gradient
     over 2 pi i); t2[j, l] = sum m_j m_l term (equals delta_jl theta_a);
     t4[j, l, m, p] = sum m_j m_l m_m m_p term.  t2 and t4 are the full
-    symmetric arrays, None below order 2 and 4 of the batch.
+    symmetric arrays, None below order 2 and 4 of the batch.  The arrays
+    are read-only, since a campaign shares one record among its checks.
 
     psi, delta_psi and psi_sq are formed on first read and kept
     (cached_property writes the instance __dict__, which the frozen
@@ -640,17 +699,40 @@ class Moments:
 
 def _sums(chars, z, tau: SiegelPoint, eps_by_weight: dict, degrees):
     """Yield (a, sums, value bound, radius) for each a in chars, a' coset
-    by a' coset in order of first appearance: one _radius_scan for
-    eps_by_weight and one _coset_sums of the given degrees per coset."""
+    by a' coset in order of first appearance: one pass over the point.
+
+    One _AxisSums serves the _radius_scan of every coset, which all read
+    the same (lambda, parity) terms, and every coset is scanned before
+    any lattice is built, so a refused call allocates nothing.  The
+    cosets are then summed by _group_sums in groups of consecutive ones
+    holding at most _GROUP_POINTS summed points between them; a coset
+    above that is a group of its own.  Shallow cosets, where numpy and
+    Python call overhead rather than arithmetic sets the cost, share one
+    lattice, one _exp_terms and one _row_sums per block.  The cap keeps
+    a deep box alone, so its lattice and exponentials are never held
+    beside another's: without it, the rounds of a genus-2 campaign
+    (whose transformation check sums deep boxes) peaked at 45.2 MiB
+    resident, against 42.5 MiB with it."""
     cosets: dict[tuple, list[Characteristic]] = {}
-    for a in chars:
+    for a in dict.fromkeys(chars):
         if a.genus != tau.genus:
             raise ValueError("characteristic and point have different genus")
         cosets.setdefault(a.a_prime, []).append(a)
-    for a_prime, coset in cosets.items():
-        nrad, bounds = _radius_scan(tau, z, a_prime, eps_by_weight)
-        for a, sums in _coset_sums(coset, z, tau, nrad, degrees).items():
-            yield a, sums, bounds[0], nrad
+    axis = _AxisSums(_imag_norm(z, tau.genus))
+    scans = [(coset, *_radius_scan(tau, z, a_prime, eps_by_weight, axis))
+             for a_prime, coset in cosets.items()]
+    fold = _nonzero_z(z, tau.genus) is None
+    group, points = [], 0
+    for coset, nrad, bounds in scans:
+        n = _box_points(coset[0].a_prime, nrad)
+        size = n - n // 2 if fold else n
+        if group and points + size > _GROUP_POINTS:
+            yield from _group_sums(group, z, tau, degrees, fold)
+            group, points = [], 0
+        group.append((coset, nrad, bounds, n))
+        points += size
+    if group:
+        yield from _group_sums(group, z, tau, degrees, fold)
 
 
 def theta_jet(a: Characteristic, z, tau: SiegelPoint, eps: float = DEFAULT_EPS) -> ThetaJet:
@@ -696,8 +778,12 @@ def batch_moments(
     eps_by_weight = dict.fromkeys(range(order + 1), eps)
     out: dict[Characteristic, Moments] = {}
     for a, s, bound, nrad in _sums(chars, None, tau, eps_by_weight, degrees):
+        t1 = np.array(s[1])
         t2, t4 = (np.array(s[k])[_basis(a.genus, k)[1]] if k in s else None for k in (2, 4))
-        out[a] = Moments(s[0][0], np.array(s[1]), t2, t4, bound, nrad, a)
+        for t in (t1, t2, t4):
+            if t is not None:
+                t.setflags(write=False)
+        out[a] = Moments(s[0][0], t1, t2, t4, bound, nrad, a)
     return out
 
 
@@ -716,7 +802,10 @@ class SymmetricForm:
         c = np.asarray(self.coefficients, dtype=complex)
         if c.shape != (self.genus, self.genus):
             raise ValueError("coefficient matrix has wrong shape")
-        c = (np.triu(c) + np.triu(c, 1).T)  # exact symmetry, shared storage
+        # exact symmetry from the upper triangle; + 0.0 turns -0.0 into +0.0
+        c = c + 0.0
+        lower, upper = _lower_triangle(self.genus)
+        c[lower] = c[upper]
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
 
@@ -740,6 +829,16 @@ class SymmetricForm:
 
     def det(self) -> complex:
         return complex(np.linalg.det(self.coefficients))
+
+
+@lru_cache(maxsize=None)
+def _lower_triangle(genus: int) -> tuple[tuple, tuple]:
+    """(lower, upper): index arrays of the entries below the diagonal and
+    of their mirror images above it."""
+    rows, cols = np.tril_indices(genus, -1)
+    for index in (rows, cols):
+        index.setflags(write=False)
+    return (rows, cols), (cols, rows)
 
 
 def _symmetrize(full: np.ndarray) -> np.ndarray:

@@ -425,6 +425,23 @@ def test_psi_matrix_symmetric_and_diagonal_splitting():
             assert np.abs(np.diag(m) - val).max() < 1e-12
 
 
+def test_symmetric_form_mirrors_the_upper_triangle_and_clears_negative_zeros():
+    # every entry is the upper-triangle one plus 0.0, so -0.0 reads +0.0
+    # in both parts, and the lower triangle is ignored
+    c = np.array([[complex(-0.0, -0.0), complex(-0.0, 2.0), complex(-3.0, -0.0)],
+                  [7.0 + 7.0j, complex(1.5, -0.0), complex(-0.0, -0.0)],
+                  [7.0 + 7.0j, 7.0 + 7.0j, complex(-0.0, 4.0)]])
+    before = _hex(c)
+    form = SymmetricForm(3, c)
+    assert _hex(c) == before  # the input is not written
+    expected = [[0j, 2j, -3 + 0j], [2j, 1.5 + 0j, 0j], [-3 + 0j, 0j, 4j]]
+    assert _hex(form.coefficients) == _hex(expected)
+    assert all(part == "0x0.0p+0" for pair in _hex(form.coefficients[1, 2]) for part in pair)
+    with pytest.raises(ValueError):
+        form.coefficients[0, 1] = 1.0
+    assert _hex(SymmetricForm(1, [[complex(-0.0, -0.0)]]).coefficients) == _hex([0j])
+
+
 def test_psi_requires_even_and_guards_near_zero():
     pt = _random_point(2, 20)
     with pytest.raises(ValueError):
@@ -679,6 +696,102 @@ def test_deep_boxes_sum_by_the_tree_with_the_bits_of_fsum(genus, lam, monkeypatc
     _assert_full_box_bits(pt, chars, (4,), (None, z))
     tree = sum(size for size in sizes if size >= kernel._TREE_MIN_TERMS)
     assert tree >= 0.9 * sum(sizes)
+
+
+# ----------------------------------------------------------------------
+# one pass per call: shared scans, grouped cosets
+# ----------------------------------------------------------------------
+
+def _call_hex(chars, z, pt, order):
+    """float.hex of every output, per characteristic, of batch_moments
+    (z is None) or theta_values."""
+    if z is None:
+        moments = batch_moments(chars, pt, order=order)
+        return {a: _hex([m.value, *m.t1, *(() if m.t2 is None else m.t2.ravel()),
+                         *(() if m.t4 is None else m.t4.ravel())]) + [m.tail_bound.hex(), m.radius]
+                for a, m in moments.items()}
+    return {a: _hex(v) for a, v in theta_values(chars, z, pt).items()}
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_one_pass_over_all_characteristics_matches_per_coset_and_single_calls(genus):
+    pt = _random_point(genus, 90 + genus)
+    chars = enumerate_characteristics(genus)
+    z = np.random.default_rng(genus).uniform(-0.3, 0.3, genus) + 0.1j
+    cosets = {}
+    for a in chars:
+        cosets.setdefault(a.a_prime, []).append(a)
+    for zz, orders in ((None, (1, 2, 4)), (np.zeros(genus), (0,)), (z, (0,))):
+        for order in orders:
+            batch = _call_hex(chars, zz, pt, order)
+            assert list(batch) == [a for coset in cosets.values() for a in coset]
+            per_coset = {a: v for coset in cosets.values()
+                         for a, v in _call_hex(coset, zz, pt, order).items()}
+            assert batch == per_coset
+            assert batch == {a: _call_hex([a], zz, pt, order)[a] for a in chars}
+
+
+@pytest.mark.parametrize("genus, lam", [(2, 0.05), (3, 0.35)])
+def test_grouping_and_padding_keep_every_bit(genus, lam, monkeypatch):
+    # the boxes of the cosets differ in size (by parity, and odd shifts
+    # can need a larger radius), so a group pads its shorter rows to its
+    # widest box; the caps run every coset alone, the first alone, about
+    # half of the points per group, and one group for all
+    pt = _random_point(genus, 80 + genus)
+    pt = SiegelPoint(genus, pt.tau.real + 1j * (lam / pt.lambda_min) * pt.tau.imag)
+    chars = enumerate_characteristics(genus)
+    z = np.random.default_rng(81).uniform(-0.3, 0.3, genus) + 0.05j
+    widths = []
+    exp_terms = kernel._exp_terms
+    monkeypatch.setattr(kernel, "_exp_terms",
+                        lambda two_m, *rest: widths.append(len(two_m)) or exp_terms(two_m, *rest))
+    cosets = 2**genus
+    for zz, order in ((None, 4), (None, 1), (z, 0)):
+        widths.clear()
+        alone = {a: _call_hex([a], zz, pt, order)[a] for a in chars}
+        sizes = list(dict(zip((a.a_prime for a in chars), widths)).values())
+        assert len(sizes) == cosets and len(set(sizes)) > 1
+        caps = (0, sizes[0] + sizes[1] - 1, sum(sizes) // 2, sum(sizes))
+        passes = []
+        for cap in caps:
+            monkeypatch.setattr(kernel, "_GROUP_POINTS", cap)
+            widths.clear()
+            assert _call_hex(chars, zz, pt, order) == alone
+            assert sum(widths) == sum(sizes)
+            passes.append(list(widths))
+        assert len(passes[0]) == cosets and passes[1][0] == sizes[0]
+        assert 1 < len(passes[2]) < cosets and len(passes[3]) == 1
+        monkeypatch.setattr(kernel, "_GROUP_POINTS", _GROUP_POINTS)
+
+
+_GROUP_POINTS = kernel._GROUP_POINTS
+
+
+def test_refused_last_coset_builds_no_lattice(monkeypatch):
+    # at Im tau = 0.0101 I the cosets a' = 0 and a' = (0, 0, 1) certify at
+    # radius 50, boxes of about 101^3 points under the 2^20 budget, each
+    # a group of its own, and a' = (0, 1, 1) needs a larger box: the call
+    # is refused before any lattice is built
+    pt = SiegelPoint(3, 0.0101j * np.eye(3))
+    chars = [Characteristic(3, a_prime, (0, 0, 0)) for a_prime in ((0, 0, 0), (0, 0, 1), (0, 1, 1))]
+    for a in chars[:2]:
+        assert _radius_scan(pt, None, a.a_prime, {0: 1e-14, 1: 1e-14})[0] == 50
+    built = []
+    monkeypatch.setattr(kernel, "_lattice_two_m", lambda *args: built.append(args))
+    with pytest.raises(TruncationError, match="lattice points"):
+        batch_moments(chars, pt, 1e-14, order=1)
+    assert built == []
+
+
+def test_moments_arrays_are_read_only():
+    # a campaign shares one record among its checks
+    pt = _random_point(2, 22)
+    mom = theta_moments(Characteristic(2, (1, 0), (0, 0)), pt, 1e-14, order=4)
+    for array in (mom.t1, mom.t2, mom.t4):
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1.0
+    with pytest.raises(ValueError):
+        mom.t2[0, 1] = 0.0
 
 
 # ----------------------------------------------------------------------
