@@ -33,10 +33,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import __version__, exactpoly, fourier, halphen
+from . import __version__, exactpoly, fourier, halphen, identities
 from .characteristics import Characteristic, digit_decode, gopel_systems
 from .identities import DEFAULT_TOL, REGISTRY, IdentityCheck, SamplePlan
-from .identities import checks_for_genus, effective_tol, run_check
+from .identities import checks_for_genus, effective_tol, point_memo, run_check
 from .siegel import SiegelPoint
 from .theta import DEFAULT_EPS, NearZeroThetanull, TruncationError, theta_jet
 
@@ -113,7 +113,16 @@ def _pool_run(args):
     return name, check, time.perf_counter() - t0
 
 
+def _open_point_memo():
+    """Pool initializer: a worker lives as long as its campaign, so its
+    checks share one memo for the worker's life."""
+    identities._POINTS.set({})
+
+
 def run_campaign(config: RunConfig) -> CampaignReport:
+    """Run the configured checks, each as _pool_run does.  The checks of
+    one campaign share their point records (identities.point_memo), which
+    are dropped when it ends."""
     names = config.identities or checks_for_genus(config.genus)
     plan = config.plan()
     tasks = [(name, config.genus, plan, config.eps, config.tol) for name in names]
@@ -121,8 +130,12 @@ def run_campaign(config: RunConfig) -> CampaignReport:
     with contextlib.ExitStack() as stack:
         run = map
         if config.workers > 1:
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=config.workers)
+            pool = concurrent.futures.ProcessPoolExecutor(
+                max_workers=config.workers, initializer=_open_point_memo
+            )
             run = stack.enter_context(pool).map
+        else:
+            stack.enter_context(point_memo())
         for name, check, dt in run(_pool_run, tasks):
             checks.append(check)
             times[name] = dt

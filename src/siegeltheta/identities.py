@@ -31,6 +31,8 @@ acceptance suite both consume it.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import math
 import operator
@@ -208,15 +210,45 @@ def effective_tol(name: str, tol: float) -> float:
 # the point record
 # ----------------------------------------------------------------------
 
+#: the point records of the open campaign, keyed by (tau bytes, eps,
+#: order, positions); None outside a campaign
+_POINTS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("points", default=None)
+
+
+@contextlib.contextmanager
+def point_memo():
+    """Share point records among the checks run inside: each _point is
+    computed once and read by every check that asks for it, and the
+    records are dropped on exit, also when a check raises."""
+    token = _POINTS.set({})
+    try:
+        yield
+    finally:
+        _POINTS.reset(token)
+
+
 def _point(tau: SiegelPoint, eps: float, order: int = 2, positions=None) -> dict[int, Moments]:
     """z = 0 data at one tau from one batch of moments: the Moments of the
     characteristics at positions in char_table (every even one by
-    default), to the given order, keyed by position in that order."""
+    default), to the given order, keyed by position in that order.
+
+    Inside point_memo (a campaign) the record is made once per (tau,
+    eps, order, positions) and shared; the key holds the order, since
+    a higher order takes a larger box and so other bits.  A call that
+    raises stores nothing, and outside point_memo nothing is kept.
+    Shared records are read-only: Moments arrays refuse writes."""
     table = char_table(tau.genus)
-    positions = table.even if positions is None else positions
+    positions = table.even if positions is None else tuple(positions)
+    memo = _POINTS.get()
+    key = (tau.tau.tobytes(), eps, order, positions)
+    if memo is not None and key in memo:
+        return memo[key]
     chars = [table.chars[i] for i in positions]
     moments = batch_moments(chars, tau, eps, order=order)
-    return {i: moments[a] for i, a in zip(positions, chars)}
+    record = {i: moments[a] for i, a in zip(positions, chars)}
+    if memo is not None:
+        memo[key] = record
+    return record
 
 
 def _quartic_scale(*forms: QuarticForm) -> float:

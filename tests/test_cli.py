@@ -357,3 +357,65 @@ def test_workers_pool_matches_serial(capsys, tmp_path):
     a = json.loads(serial.read_text())
     b = json.loads(pooled.read_text())
     assert a["checks"] == b["checks"]
+
+
+def test_campaign_matches_direct_checks_at_genus_3():
+    # the campaign shares point records among its checks; each check still
+    # reports what it reports when it runs alone, without a memo
+    config = RunConfig(genus=3, seed=5, samples=1)
+    report = cli.run_campaign(config)
+    direct = [
+        identities.run_check(name, 3, config.plan(), config.eps, config.tol).to_json()
+        for name in identities.checks_for_genus(3)
+    ]
+    assert [c.to_json() for c in report.checks] == direct
+    assert identities._POINTS.get() is None
+
+
+def test_no_point_memo_survives_a_campaign(monkeypatch):
+    seen = []
+
+    def shares(genus, plan, eps, tol):
+        tau = plan.tau_points(genus)[0]
+        seen.append(identities._point(tau, eps) is identities._point(tau, eps))
+        return identities.IdentityCheck("shares", genus, plan.count, plan.seed, tol).finish()
+
+    def near_divisor(genus, plan, eps, tol):
+        tau = SiegelPoint(2, np.diag([0.3 + 1.1j, -0.2 + 0.9j]))
+        for mom in identities._point(tau, eps).values():
+            mom.psi
+
+    def broken(genus, plan, eps, tol):
+        identities._point(plan.tau_points(genus)[0], eps)
+        raise RuntimeError("not a kernel refusal")
+
+    registry = {
+        "shares": CheckSpec(shares, (2,)),
+        "near_divisor": CheckSpec(near_divisor, (2,)),
+        "broken": CheckSpec(broken, (2,)),
+    }
+    monkeypatch.setattr(identities, "REGISTRY", registry)
+    monkeypatch.setattr(cli, "REGISTRY", registry)
+    config = RunConfig(genus=2, samples=1, identities=["shares", "near_divisor"])
+    report = cli.run_campaign(config)
+    assert [c.status for c in report.checks] == ["pass", "error"]
+    assert seen == [True]
+    assert identities._POINTS.get() is None
+    # a check that raises past the campaign still closes its memo
+    with pytest.raises(RuntimeError, match="not a kernel refusal"):
+        cli.run_campaign(RunConfig(genus=2, samples=1, identities=["shares", "broken"]))
+    assert seen == [True, True]
+    assert identities._POINTS.get() is None
+
+
+def test_workers_pool_matches_serial_for_all_genus3_checks(capsys, tmp_path):
+    paths = {workers: tmp_path / f"w{workers}.json" for workers in ("1", "2")}
+    for workers, path in paths.items():
+        code, _, _ = run_main(
+            capsys, "verify", "all", "--genus", "3", "--samples", "1", "--json", str(path),
+            "--workers", workers,
+        )
+        assert code == 0
+    serial, pooled = (json.loads(path.read_text()) for path in paths.values())
+    assert serial["checks"] == pooled["checks"]
+    assert len(serial["checks"]) == len(identities.checks_for_genus(3))

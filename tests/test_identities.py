@@ -6,7 +6,13 @@ import pytest
 from siegeltheta import identities
 from siegeltheta.characteristics import char_table
 from siegeltheta.siegel import SiegelPoint
-from siegeltheta.theta import NearZeroThetanull, QuarticForm, SymmetricForm, batch_moments
+from siegeltheta.theta import (
+    NearZeroThetanull,
+    QuarticForm,
+    SymmetricForm,
+    TruncationError,
+    batch_moments,
+)
 from siegeltheta.identities import (
     REGISTRY,
     IdentityCheck,
@@ -350,3 +356,28 @@ def test_genus2_transformation_passes_at_seed_11():
     # weight-2 law of pair 00,02 at 1.3e-8
     check = identities.check_transformation_laws(2, SamplePlan(seed=11, count=1))
     assert check.status == "pass", f"{check.max_rel_residual:.4e} at {check.witness}"
+
+
+def test_point_records_are_shared_only_inside_a_point_memo(monkeypatch):
+    calls = []
+    real = identities.batch_moments
+    monkeypatch.setattr(identities, "batch_moments",
+                        lambda *args, **kw: calls.append(kw["order"]) or real(*args, **kw))
+    tau = PLAN.tau_points(2)[0]
+    # outside a campaign nothing is kept
+    assert identities._point(tau, 1e-14) is not identities._point(tau, 1e-14)
+    assert len(calls) == 2
+    with identities.point_memo():
+        first = identities._point(tau, 1e-14)
+        assert identities._point(tau, 1e-14, positions=list(char_table(2).even)) is first
+        # the order is part of the key: an order-4 box is another record
+        assert identities._point(tau, 1e-14, order=4) is not first
+        assert identities._point(tau, 1e-13) is not first
+        assert calls == [2, 2, 2, 4, 2]
+        # a refused call stores nothing and is refused again
+        deep = SiegelPoint(3, 1e-3j * np.eye(3))
+        for _ in range(2):
+            with pytest.raises(TruncationError):
+                identities._point(deep, 1e-14)
+        assert len(identities._POINTS.get()) == 3
+    assert identities._POINTS.get() is None
