@@ -61,6 +61,7 @@ __all__ = [
     "run_check",
     "checks_for_genus",
     "effective_tol",
+    "point_memo",
     "check_riemann_quartic",
     "check_heat_equation",
     "check_second_order_system",

@@ -729,6 +729,8 @@ def test_one_pass_over_all_characteristics_matches_per_coset_and_single_calls(ge
                          for a, v in _call_hex(coset, zz, pt, order).items()}
             assert batch == per_coset
             assert batch == {a: _call_hex([a], zz, pt, order)[a] for a in chars}
+        # a characteristic named twice is summed once
+        assert _call_hex(chars + chars[:3], zz, pt, orders[-1]) == batch
 
 
 @pytest.mark.parametrize("genus, lam", [(2, 0.05), (3, 0.35)])
