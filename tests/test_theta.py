@@ -763,10 +763,6 @@ def test_grouping_and_padding_keep_every_bit(genus, lam, monkeypatch):
             passes.append(list(widths))
         assert len(passes[0]) == cosets and passes[1][0] == sizes[0]
         assert 1 < len(passes[2]) < cosets and len(passes[3]) == 1
-        monkeypatch.setattr(kernel, "_GROUP_POINTS", _GROUP_POINTS)
-
-
-_GROUP_POINTS = kernel._GROUP_POINTS
 
 
 def test_refused_last_coset_builds_no_lattice(monkeypatch):
