@@ -50,9 +50,9 @@ terms, nor on the group its coset was summed in.  _group_sums writes the
 real and imaginary parts of the weighted rows of every characteristic
 and degree of a group into blocks of at most 256 KiB (a shorter box's
 rows padded with -0.0), and _row_sums sums each block with a vectorized
-TwoSum tree.  A row's tree sum is kept only where a rounding-error bound proves
-it to be fsum's; the rest, and every block too small for the tree to
-pay, go to fsum row by row.
+TwoSum tree.  A row's tree sum is kept only where a rounding-error bound
+proves it to be fsum's; the rest, and every block too small for the
+tree to pay, go to fsum row by row.
 
 Without a z term the sum is folded over m <-> -m: the box is symmetric,
 and for a monomial of degree k the weighted term of -m is
@@ -524,10 +524,11 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
     every coset; the phase of a'' is exact and applied per
     characteristic, and the weight rows m_j ... m_p are formed per box,
     since a group's would be a dozen rows of all its points.  Every term
-    and weight is formed by the same elementwise expression as for its
-    box alone.  Each weight is exact whatever the order of its product: the m are half-integers with
-    |m_j| <= _MAX_RADIUS, so every partial product of up to four of them
-    is K/16 with |K| <= 800^4 < 2^39.
+    and weight is formed by the same elementwise expression, from a
+    lattice in the same column-major layout, as for its box alone.  Each
+    weight is exact whatever the order of its product: the m are
+    half-integers with |m_j| <= _MAX_RADIUS, so every partial product of
+    up to four of them is K/16 with |K| <= 800^4 < 2^39.
 
     With fold (no z term) each box is folded over m <-> -m.  The box is
     symmetric (row i of _lattice_two_m is minus row n-1-i), the exponent

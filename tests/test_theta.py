@@ -771,7 +771,8 @@ def test_refused_last_coset_builds_no_lattice(monkeypatch):
     # a group of its own, and a' = (0, 1, 1) needs a larger box: the call
     # is refused before any lattice is built
     pt = SiegelPoint(3, 0.0101j * np.eye(3))
-    chars = [Characteristic(3, a_prime, (0, 0, 0)) for a_prime in ((0, 0, 0), (0, 0, 1), (0, 1, 1))]
+    chars = [Characteristic(3, a_prime, (0, 0, 0))
+             for a_prime in ((0, 0, 0), (0, 0, 1), (0, 1, 1))]
     for a in chars[:2]:
         assert _radius_scan(pt, None, a.a_prime, {0: 1e-14, 1: 1e-14})[0] == 50
     built = []
