@@ -121,12 +121,10 @@ def integrate(
     start_tau: complex,
     end_tau: complex,
     steps: int,
-    initial: HalphenState | None = None,
-    eps: float = DEFAULT_EPS,
 ) -> HalphenState:
     """Integrate the system along the straight segment start -> end.
 
-    The initial state defaults to the theta-seeded values at start_tau.
+    The initial state is the theta-seeded values at start_tau.
     The segment must stay in Im(tau) > PATH_MARGIN (linear in t, so the
     endpoints decide).
     """
@@ -134,7 +132,7 @@ def integrate(
         raise ValueError("steps must be non-negative")
     if min(start_tau.imag, end_tau.imag) <= PATH_MARGIN:
         raise ValueError("integration path leaves the upper half-plane margin")
-    state = initial if initial is not None else state_from_theta(start_tau, eps)
+    state = state_from_theta(start_tau)
     psi = np.array(state.triple(), dtype=complex)
     if steps == 0 or start_tau == end_tau:
         return HalphenState(start_tau, *psi)
@@ -173,28 +171,29 @@ def hyp2f1_supported(z: complex) -> bool:
     return abs(z) <= 0.7 or abs(z / (z - 1.0)) <= 0.7
 
 
-def hyp2f1(a: float, b: float, c: float, z: complex, tol: float = 1e-15) -> complex:
+def hyp2f1(a: float, b: float, c: float, z: complex) -> complex:
     """2F1(a, b; c; z) by direct power series for |z| <= 0.7, with the
     z/(z-1) transformation pulling the left part of the unit disc back
     into the fast region.  Raises outside the supported set (lambda
     samples are gated to it).
     """
     if abs(z) <= 0.7:
-        return _hyp2f1_series(a, b, c, z, tol)
+        return _hyp2f1_series(a, b, c, z)
     w = z / (z - 1.0)
     if abs(w) <= 0.7:
         # 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))
-        return (1.0 - z) ** (-a) * _hyp2f1_series(a, c - b, c, w, tol)
+        return (1.0 - z) ** (-a) * _hyp2f1_series(a, c - b, c, w)
     raise ValueError(f"hypergeometric argument {z} outside the supported region")
 
 
-def _hyp2f1_series(a, b, c, z, tol, max_terms: int = 4000) -> complex:
+def _hyp2f1_series(a, b, c, z) -> complex:
+    """The power series to relative term size 1e-15, within 4000 terms."""
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
-    for k in range(max_terms):
+    for k in range(4000):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
         total += term
-        if abs(term) <= tol * max(1.0, abs(total)) and k > 2:
+        if abs(term) <= 1e-15 * max(1.0, abs(total)) and k > 2:
             return total
     raise ValueError("hypergeometric series did not converge to requested tolerance")
 

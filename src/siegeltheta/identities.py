@@ -35,23 +35,15 @@ import contextlib
 import contextvars
 import itertools
 import math
-import operator
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
-from functools import reduce
 
 import numpy as np
 
-from .characteristics import (
-    Characteristic,
-    char_table,
-    digit_decode,
-    digit_encode,
-    enumerate_characteristics,
-)
+from .characteristics import Characteristic, char_table, digit_decode
 from .exactpoly import phi_expressions
 from .siegel import SiegelPoint, act, cocycle_factor, random_gamma_48
-from .theta import DEFAULT_EPS, Moments, QuarticForm, batch_moments, theta_values
+from .theta import DEFAULT_EPS, Moments, QuarticForm, SymmetricForm, batch_moments, theta_values
 from .halphen import genus1_data
 
 __all__ = [
@@ -181,19 +173,24 @@ class IdentityCheck:
     def to_json(self) -> dict:
         return asdict(self)
 
-    def add(self, abs_res: float, scale: float, witness: str):
-        """Record one residual; keep the worst and remember where it happened."""
-        if not (math.isfinite(abs_res) and math.isfinite(scale)):
-            rel = math.inf  # a NaN or infinite residual or scale fails the check
-        elif scale > 0:
-            rel = abs_res / scale
-        else:
-            rel = 0.0 if abs_res == 0 else math.inf
-        if abs_res > self.max_abs_residual:
-            self.max_abs_residual = abs_res
-        if rel > self.max_rel_residual:
-            self.max_rel_residual = rel
-            self.witness = witness
+    def add(self, abs_res, scale, witness):
+        """Record residuals, a float or an array with scale of the same
+        shape; keep the worst and remember where it happened.  witness
+        is a string or a function of the flat index of the worst element,
+        called only when that element is the new worst; the first worst
+        in C order wins, as if the elements were added one by one."""
+        abs_res, scale = np.asarray(abs_res, dtype=float), np.asarray(scale, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(scale > 0, abs_res / scale, np.where(abs_res == 0, 0.0, np.inf))
+        # a NaN or infinite residual or scale fails the check
+        rel = np.where(np.isfinite(abs_res) & np.isfinite(scale), rel, np.inf).ravel()
+        worst_abs = np.fmax.reduce(abs_res.ravel())  # NaN only if every residual is NaN
+        if worst_abs > self.max_abs_residual:
+            self.max_abs_residual = float(worst_abs)
+        i = int(np.argmax(rel))
+        if rel[i] > self.max_rel_residual:
+            self.max_rel_residual = float(rel[i])
+            self.witness = witness(i) if callable(witness) else witness
 
     def finish(self) -> IdentityCheck:
         self.status = "pass" if self.max_rel_residual <= self.tolerance else "fail"
@@ -252,10 +249,6 @@ def _point(tau: SiegelPoint, eps: float, order: int = 2, positions=None) -> dict
     return record
 
 
-def _quartic_scale(*forms: QuarticForm) -> float:
-    return max(f.max_abs() for f in forms)
-
-
 # ----------------------------------------------------------------------
 # Riemann quartic relation
 # ----------------------------------------------------------------------
@@ -271,27 +264,21 @@ def check_riemann_quartic(
     swept over all characteristics a, c at every sampled (z, tau)."""
     check = IdentityCheck("riemann_quartic", genus, plan.count, plan.seed, tol)
     table = char_table(genus)
-    allc = table.chars
+    allc, add, n = table.chars, table.add, len(table.chars)
     pair_sign = 1.0 - 2.0 * table.pairing
     sign2 = 1.0 - 2.0 * table.cross  # sign2[c, x] = (-1)^(c' . x'')
     for k, (tau, z) in enumerate(plan.tau_z_points(genus)):
         values = [theta_values(allc, w, tau, eps) for w in (None, z, 2 * z)]
         v0, vz, v2z = (np.array([v[a] for a in allc]) for v in values)
-        for ic in range(len(allc)):
-            add_c = table.add[:, ic]
-            w = v2z[add_c] * v0[add_c] * v0**2  # indexed by b
-            sw = sign2[ic] * w
-            rhs = (sign2[ic] * (pair_sign @ sw)) / 2**genus
-            lhs = vz[add_c] ** 2 * vz**2
-            term_scale = np.abs(w).max() / 2**genus
-            diffs = np.abs(lhs - rhs)
-            scales = np.maximum(np.abs(lhs), term_scale)
-            ia = int(np.argmax(diffs / scales))
-            check.add(
-                float(diffs[ia]),
-                float(scales[ia]),
-                f"sample={k} a={allc[ia].label()} c={allc[ic].label()}",
-            )
+        w = v2z[add] * v0[add] * v0**2  # w[c, b]
+        rhs = sign2 * ((sign2 * w) @ pair_sign) / 2**genus  # rhs[c, a]
+        lhs = vz[add] ** 2 * vz**2
+        scale = np.maximum(np.abs(lhs), np.abs(w).max(axis=1, keepdims=True) / 2**genus)
+        check.add(
+            np.abs(lhs - rhs),
+            scale,
+            lambda i: f"sample={k} a={allc[i % n].label()} c={allc[i // n].label()}",
+        )
     return check.finish()
 
 
@@ -317,24 +304,21 @@ def check_heat_equation(
     h = _FD_STEP
     for k, tau in enumerate(plan.tau_points(genus)):
         data = _point(tau, eps)
+        t2 = np.array([m.t2 for m in data.values()])
+        values = np.abs([m.value for m in data.values()])
         for j in range(genus):
             for l in range(j, genus):
                 shift = np.zeros((genus, genus))
                 shift[j, l] = shift[l, j] = h
-                tp = SiegelPoint(genus, tau.tau + shift)
-                tm = SiegelPoint(genus, tau.tau - shift)
-                vp = theta_values(evens, None, tp, eps)
-                vm = theta_values(evens, None, tm, eps)
+                vp = theta_values(evens, None, SiegelPoint(genus, tau.tau + shift), eps)
+                vm = theta_values(evens, None, SiegelPoint(genus, tau.tau - shift), eps)
                 norm = 1j * math.pi if j == l else 2j * math.pi
-                for i, a in zip(table.even, evens):
-                    fd = (vp[a] - vm[a]) / (2 * h) / norm
-                    exact = data[i].t2[j, l]
-                    scale = max(abs(exact), abs(data[i].value))
-                    check.add(
-                        abs(fd - exact),
-                        scale,
-                        f"sample={k} a={a.label()} j={j + 1} l={l + 1}",
-                    )
+                fd = np.array([vp[a] - vm[a] for a in evens]) / (2 * h) / norm
+                check.add(
+                    np.abs(fd - t2[:, j, l]),
+                    np.maximum(np.abs(t2[:, j, l]), values),
+                    lambda i: f"sample={k} a={evens[i].label()} j={j + 1} l={l + 1}",
+                )
     return check.finish()
 
 
@@ -352,27 +336,27 @@ def check_second_order_system(
     - 2 theta_a^4 psi_a^2, as quartic forms, for every even a."""
     check = IdentityCheck("second_order_system", genus, plan.count, plan.seed, tol)
     coeff = 1.0 / 2 ** (genus - 2)
-    pair = char_table(genus).pairing.tolist()
+    table = char_table(genus)
+    labels = [table.chars[i].label() for i in table.even]
+    sign = 1.0 - 2.0 * table.pairing[np.ix_(table.even, table.even)]
+    kinds = ("coefficients", "value at u")
     for k, tau in enumerate(plan.tau_points(genus)):
         data = _point(tau, eps, order=4)
         rng = np.random.default_rng([plan.seed, genus, 97, k])
         u = rng.uniform(-1, 1, genus) + 1j * rng.uniform(-1, 1, genus)
-        for a, ma in data.items():
-            t_a4 = ma.value**4
-            lhs = t_a4 * ma.delta_psi
-            rhs = (-2 * t_a4) * ma.psi_sq
-            for b, mb in data.items():
-                rhs = rhs + (coeff * (-1) ** pair[a][b] * mb.value**4) * mb.psi_sq
-            scale = _quartic_scale(lhs, rhs) + max(
-                coeff * abs(mb.value**4) * mb.psi_sq.max_abs() for mb in data.values()
-            )
-            diff = lhs - rhs
-            check.add(diff.max_abs(), scale, f"sample={k} a={ma.a.label()} (coefficients)")
-            check.add(
-                abs(lhs.value_at(u) - rhs.value_at(u)),
-                scale * max(1.0, float(np.max(np.abs(u))) ** 4),
-                f"sample={k} a={ma.a.label()} (value at u)",
-            )
+        t4 = np.array([m.value for m in data.values()]) ** 4
+        psi_sq = np.array([m.psi_sq.coefficients for m in data.values()])
+        lhs = t4[:, None] * np.array([m.delta_psi.coefficients for m in data.values()])
+        rhs = (-2 * t4)[:, None] * psi_sq + (coeff * sign * t4) @ psi_sq
+        scale = np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1)) + max(
+            coeff * np.abs(t4) * np.abs(psi_sq).max(axis=1)
+        )
+        at_u = QuarticForm.monomials(u)
+        check.add(  # per a: [coefficients, value at u]
+            np.stack([np.abs(lhs - rhs).max(axis=1), np.abs(lhs @ at_u - rhs @ at_u)], axis=1),
+            np.stack([scale, scale * max(1.0, float(np.max(np.abs(u))) ** 4)], axis=1),
+            lambda i: f"sample={k} a={labels[i // 2]} ({kinds[i % 2]})",
+        )
     return check.finish()
 
 
@@ -380,26 +364,30 @@ def check_second_order_system(
 # Proposition 4 (odd z-gradients vs thetanull data)
 # ----------------------------------------------------------------------
 
-def _odd_gradient_sweep(check: IdentityCheck, plan: SamplePlan, eps: float, sides):
-    """Sweep every odd a (in position order, so a tie keeps the first
-    witness) and every j; sides(data, a, grad_j, j) returns the left side
-    and the summands of the right side before its 2^-(g-1) prefactor,
-    with a the position of the odd characteristic in char_table."""
+def _odd_gradient_sweep(check: IdentityCheck, plan: SamplePlan, eps: float, assemble):
+    """Sweep every odd a and every j at each sample.  assemble(values,
+    psi_diag, grads) reads the values and psi diagonals of the even
+    characteristics (rows in position order) and the normalized
+    gradients of the odd ones, and returns the left sides, indexed
+    [a, j], and the summands of the right sides before their 2^-(g-1)
+    prefactor, indexed [a, b, j]."""
     genus = check.genus
     table = char_table(genus)
+    labels = [table.chars[a].label() for a in table.odd]
     for k, tau in enumerate(plan.tau_points(genus)):
         data = _point(tau, eps)
         odd = _point(tau, eps, order=1, positions=table.odd)
-        for a in table.odd:
-            for j in range(genus):
-                lhs, terms = sides(data, a, odd[a].t1[j], j)
-                total = 0.0j
-                term_scale = abs(lhs)
-                for term in terms:
-                    total += term
-                    term_scale = max(term_scale, abs(term) / 2 ** (genus - 1))
-                rhs = total / 2 ** (genus - 1)
-                check.add(abs(lhs - rhs), term_scale, f"sample={k} a={odd[a].a.label()} j={j + 1}")
+        lhs, terms = assemble(
+            np.array([m.value for m in data.values()]),
+            np.array([m.psi.coefficients.diagonal() for m in data.values()]),
+            np.array([m.t1 for m in odd.values()]),
+        )
+        rhs = terms.sum(axis=1) / 2 ** (genus - 1)
+        check.add(
+            np.abs(lhs - rhs),
+            np.maximum(np.abs(lhs), np.abs(terms).max(axis=1) / 2 ** (genus - 1)),
+            lambda i: f"sample={k} a={labels[i // genus]} j={i % genus + 1}",
+        )
     return check.finish()
 
 
@@ -415,21 +403,20 @@ def check_odd_gradient_squared(
     with d_j the normalized z-gradient at z = 0."""
     check = IdentityCheck("odd_gradient_squared", genus, plan.count, plan.seed, tol)
     table = char_table(genus)
-    add, cross, weight = table.add.tolist(), table.cross.tolist(), table.weight.tolist()
+    a_plus_b = table.add[np.ix_(table.odd, table.even)]
+    even_sum = table.weight[a_plus_b] % 2 == 0  # otherwise theta_{a+b} = 0 in the summand
+    row = np.searchsorted(table.even, np.where(even_sum, a_plus_b, 0))  # of a+b in the record
+    sign = 1.0 - 2.0 * table.cross[np.ix_(table.odd, table.even)]
 
-    def sides(data, a, grad_j, j):
-        t0 = data[0].value  # position 0 is the zero characteristic
+    def assemble(values, psi_diag, grads):
+        t0 = values[0]  # position 0 is the zero characteristic
         terms = (
-            (-1) ** cross[a][b]
-            * (data[add[a][b]].value / t0) ** 2
-            * (data[b].value / t0) ** 2
-            * (data[add[a][b]].psi[j, j] - data[0].psi[j, j])
-            for b in data
-            if weight[add[a][b]] % 2 == 0  # otherwise the summand carries theta_{a+b}^2 = 0
+            (sign * (values[row] / t0) ** 2 * (values / t0) ** 2)[:, :, None]
+            * (psi_diag[row] - psi_diag[0])
         )
-        return (grad_j / t0) ** 2, terms
+        return (grads / t0) ** 2, np.where(even_sum[:, :, None], terms, 0)
 
-    return _odd_gradient_sweep(check, plan, eps, sides)
+    return _odd_gradient_sweep(check, plan, eps, assemble)
 
 
 def check_odd_gradient_fourth(
@@ -448,30 +435,27 @@ def check_odd_gradient_fourth(
     """
     check = IdentityCheck("odd_gradient_fourth", genus, plan.count, plan.seed, tol)
     table = char_table(genus)
-    add, weight = table.add.tolist(), table.weight.tolist()
+    sign = 1.0 - 2.0 * (table.weight[table.add[np.ix_(table.odd, table.even)]] % 2)
 
-    def sides(data, a, grad_j, j):
-        terms = (
-            (-1) ** weight[add[a][b]] * mb.value**4 * mb.psi[j, j] ** 2
-            for b, mb in data.items()
-        )
-        return grad_j**4, terms
+    def assemble(values, psi_diag, grads):
+        return grads**4, sign[:, :, None] * (values[:, None] ** 4 * psi_diag**2)
 
-    return _odd_gradient_sweep(check, plan, eps, sides)
+    return _odd_gradient_sweep(check, plan, eps, assemble)
 
 
 # ----------------------------------------------------------------------
 # transformation laws under the level-(4,8) theta group
 # ----------------------------------------------------------------------
 
-def _pair_laws(data: dict[int, Moments], pairs) -> list[tuple[np.ndarray, complex]]:
-    """Per pair (a, b): lambda_0 (psi_b - psi_a) with lambda_0 = theta_b / theta_a,
-    and eta_{a,b} = det(psi_b - psi_a)."""
-    out = []
-    for a, b in pairs:
-        diff = data[b].psi - data[a].psi
-        out.append((data[b].value / data[a].value * diff.coefficients, diff.det()))
-    return out
+def _pair_laws(data: dict[int, Moments]) -> tuple[np.ndarray, np.ndarray]:
+    """For the pairs a < b of the record, in itertools.combinations order:
+    the stacked lambda_0 (psi_b - psi_a) with lambda_0 = theta_b / theta_a,
+    and eta_{a,b} = det(psi_b - psi_a) from one batched determinant."""
+    values = np.array([m.value for m in data.values()])
+    psi = np.array([m.psi.coefficients for m in data.values()])
+    a, b = np.triu_indices(len(data), 1)
+    diff = psi[b] - psi[a]
+    return (values[b] / values[a])[:, None, None] * diff, np.linalg.det(diff)
 
 
 def _legendre_derivative(data: dict[int, Moments]) -> complex:
@@ -506,7 +490,11 @@ def check_transformation_laws(
         "transformation", genus, plan.count, plan.seed, effective_tol("transformation", tol)
     )
     table = char_table(genus)
-    pairs = list(itertools.combinations(table.even, 2))
+    pairs = [
+        f"{table.chars[a].label()},{table.chars[b].label()}"
+        for a, b in itertools.combinations(table.even, 2)
+    ]
+    kinds = ("congruence", "weight 2")
     taus = plan.tau_points(genus)
     gammas = []
     attempt = 0
@@ -526,24 +514,19 @@ def check_transformation_laws(
             detc2 = complex(np.linalg.det(cmat)) ** 2
             if k not in untransformed:
                 data0 = _point(tau, eps)
-                untransformed[k] = data0, _pair_laws(data0, pairs)
-            data0, laws0 = untransformed[k]
+                untransformed[k] = data0, _pair_laws(data0)
+            data0, (m0, eta0) = untransformed[k]
             data1 = _point(gtau, eps)
-            for (a, b), (m0, eta0), (m1, eta1) in zip(pairs, laws0, _pair_laws(data1, pairs)):
-                pair = f"{table.chars[a].label()},{table.chars[b].label()}"
-                rhs = cmat @ m0 @ cmat.T
-                scale = max(np.abs(m1).max(), np.abs(rhs).max())
-                check.add(
-                    float(np.abs(m1 - rhs).max()),
-                    scale,
-                    f"gamma={kg} sample={k} pair={pair} (congruence)",
-                )
-                scale = max(abs(eta1), abs(detc2 * eta0))
-                check.add(
-                    abs(eta1 - detc2 * eta0),
-                    scale,
-                    f"gamma={kg} sample={k} pair={pair} (weight 2)",
-                )
+            m1, eta1 = _pair_laws(data1)
+            rhs, eta1_rhs = cmat @ m0 @ cmat.T, detc2 * eta0
+            check.add(  # per pair: [congruence, weight 2]
+                np.stack([np.abs(m1 - rhs).max(axis=(1, 2)), np.abs(eta1 - eta1_rhs)], axis=1),
+                np.stack([
+                    np.maximum(np.abs(m1).max(axis=(1, 2)), np.abs(rhs).max(axis=(1, 2))),
+                    np.maximum(np.abs(eta1), np.abs(eta1_rhs)),
+                ], axis=1),
+                lambda i: f"gamma={kg} sample={k} pair={pairs[i // 2]} ({kinds[i % 2]})",
+            )
             if genus == 1:
                 lhs = _legendre_derivative(data1)
                 rhs = detc2 * _legendre_derivative(data0)
@@ -604,20 +587,34 @@ def check_gopel_quartet(
     """delta(psi_{a1}+...+psi_{a4}) = (sum psi)^2 - 2 sum psi^2 for each of
     the fifteen Gopel systems, as quartic forms."""
     check = IdentityCheck("gopel_quartet", genus, plan.count, plan.seed, tol)
+    table = char_table(genus)
+    members = np.searchsorted(table.even, table.gopel)  # rows of the record
+    systems = ["+".join(table.chars[x].label() for x in G) for G in table.gopel]
     for k, tau in enumerate(plan.tau_points(genus)):
         data = _point(tau, eps, order=4)
-        for members in char_table(genus).gopel:
-            lhs = reduce(operator.add, (data[m].delta_psi for m in members))
-            total = reduce(operator.add, (data[m].psi for m in members))
-            rhs = QuarticForm.from_quadratic_product(total, total)
-            for m in members:
-                rhs = rhs - 2.0 * data[m].psi_sq
-            check.add(
-                (lhs - rhs).max_abs(),
-                _quartic_scale(lhs, rhs),
-                f"sample={k} system={'+'.join(data[x].a.label() for x in members)}",
-            )
+        psi = np.array([m.psi.coefficients for m in data.values()])
+        lhs = np.array([m.delta_psi.coefficients for m in data.values()])[members].sum(axis=1)
+        psi_sq = np.array([m.psi_sq.coefficients for m in data.values()])
+        rhs = _gopel_squares(psi, members) - 2.0 * psi_sq[members].sum(axis=1)
+        check.add(
+            np.abs(lhs - rhs).max(axis=1),
+            np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1)),
+            lambda i: f"sample={k} system={systems[i]}",
+        )
     return check.finish()
+
+
+def _gopel_squares(psi: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The quartic forms (sum_{b in G} psi_b)^2 stacked over the Gopel
+    systems G, from the stacked psi of a record and the rows of each
+    system's members in it."""
+    return np.array([_square(s) for s in psi[members].sum(axis=1)])
+
+
+def _square(coefficients: np.ndarray) -> np.ndarray:
+    """The quartic form phi(u)^2 of the quadratic form with these coefficients."""
+    phi = SymmetricForm(len(coefficients), coefficients)
+    return QuarticForm.from_quadratic_product(phi, phi).coefficients
 
 
 def check_gopel_single(
@@ -629,53 +626,39 @@ def check_gopel_single(
     the second-order system at the same points."""
     check = IdentityCheck("gopel_single", genus, plan.count, plan.seed, tol)
     table = char_table(genus)
-    pair = table.pairing.tolist()
-    owners = {a: [gi for gi, G in enumerate(table.gopel) if a in G] for a in table.even}
+    labels = [table.chars[i].label() for i in table.even]
+    members = np.searchsorted(table.even, table.gopel)
+    owns = np.array([[a in G for G in table.gopel] for a in table.even])
+    sign = 1.0 - 2.0 * table.pairing[np.ix_(table.even, table.even)]
+    kinds = ("", " (vs second-order system)")
     for k, tau in enumerate(plan.tau_points(genus)):
         data = _point(tau, eps, order=4)
-        sum_all = reduce(operator.add, (m.psi for m in data.values()))
-        sum_all_sq = QuarticForm.from_quadratic_product(sum_all, sum_all)
-        sum_sq = reduce(operator.add, (m.psi_sq for m in data.values()))
-        gopel_sq = []
-        for members in table.gopel:
-            s = reduce(operator.add, (data[m].psi for m in members))
-            gopel_sq.append(QuarticForm.from_quadratic_product(s, s))
-        for a, ma in data.items():
-            lhs = ma.delta_psi
-            rhs = (
-                (-2.0) * ma.psi_sq
-                + (-1.0 / 3.0) * sum_sq
-                + (-1.0 / 6.0) * sum_all_sq
-            )
-            for gi in owners[a]:
-                rhs = rhs + 0.25 * gopel_sq[gi]
-            check.add(
-                (lhs - rhs).max_abs(),
-                max(_quartic_scale(lhs, rhs), sum_all_sq.max_abs() / 6.0),
-                f"sample={k} a={ma.a.label()}",
-            )
-            # consistency with the second-order system: same left side,
-            # right side assembled from the pairing-signed fourth powers
-            rhs3 = (-2.0) * ma.psi_sq
-            for b, mb in data.items():
-                rhs3 = rhs3 + ((-1) ** pair[a][b] * (mb.value / ma.value) ** 4) * mb.psi_sq
-            check.add(
-                (rhs - rhs3).max_abs(),
-                _quartic_scale(rhs, rhs3),
-                f"sample={k} a={ma.a.label()} (vs second-order system)",
-            )
+        values = np.array([m.value for m in data.values()])
+        psi = np.array([m.psi.coefficients for m in data.values()])
+        psi_sq = np.array([m.psi_sq.coefficients for m in data.values()])
+        lhs = np.array([m.delta_psi.coefficients for m in data.values()])
+        sum_all_sq = _square(psi.sum(axis=0))
+        rhs = (
+            -2.0 * psi_sq - psi_sq.sum(axis=0) / 3.0 - sum_all_sq / 6.0
+            + 0.25 * owns @ _gopel_squares(psi, members)
+        )
+        # consistency with the second-order system: same left side,
+        # right side assembled from the pairing-signed fourth powers
+        rhs3 = -2.0 * psi_sq + (sign * (values[None, :] / values[:, None]) ** 4) @ psi_sq
+        rhs_max = np.abs(rhs).max(axis=1)
+        scale = np.maximum(np.abs(lhs).max(axis=1), rhs_max)
+        scale = np.maximum(scale, np.abs(sum_all_sq).max() / 6.0)
+        check.add(  # per a: [identity, vs second-order system]
+            np.stack([np.abs(lhs - rhs).max(axis=1), np.abs(rhs - rhs3).max(axis=1)], axis=1),
+            np.stack([scale, np.maximum(rhs_max, np.abs(rhs3).max(axis=1))], axis=1),
+            lambda i: f"sample={k} a={labels[i // 2]}{kinds[i % 2]}",
+        )
     return check.finish()
 
 
 # ----------------------------------------------------------------------
 # genus-2 algebraic relations between thetanulls
 # ----------------------------------------------------------------------
-
-def _theta_by_label(tau: SiegelPoint, eps: float) -> dict[str, complex]:
-    evens = enumerate_characteristics(tau.genus, "even")
-    vals = theta_values(evens, None, tau, eps)
-    return {digit_encode(a): vals[a] for a in evens}
-
 
 def check_genus2_quadratic(
     genus: int, plan: SamplePlan, eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL
@@ -692,7 +675,7 @@ def check_genus2_quadratic(
         ("00", "03", "01", "02", "30", "33"),
     ]
     for k, tau in enumerate(plan.tau_points(genus)):
-        t = _theta_by_label(tau, eps)
+        t = {m.a.label(): m.value for m in _point(tau, eps).values()}
         for idx, (x1, x2, y1, y2, z1, z2) in enumerate(rels):
             lhs = t[x1] ** 2 * t[x2] ** 2 - t[y1] ** 2 * t[y2] ** 2
             rhs = t[z1] ** 2 * t[z2] ** 2
@@ -717,7 +700,7 @@ def check_genus2_quartic(
         ("00", "03", "12", "20"),
     ]
     for k, tau in enumerate(plan.tau_points(genus)):
-        t = _theta_by_label(tau, eps)
+        t = {m.a.label(): m.value for m in _point(tau, eps).values()}
         for idx, (x1, x2, y1, y2) in enumerate(rels):
             lhs = t[x1] ** 4 - t[x2] ** 4
             rhs = t[y1] ** 4 + t[y2] ** 4

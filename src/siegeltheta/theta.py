@@ -888,9 +888,15 @@ class QuarticForm:
         """The coefficient of u_j u_l u_m u_p, in any index order."""
         return complex(self.coefficients[_basis(self.genus, 4)[1][j, l, m, p]])
 
-    def value_at(self, u) -> complex:
+    @staticmethod
+    def monomials(u) -> np.ndarray:
+        """The degree-4 monomials of u in basis order: value_at(u) is
+        coefficients @ monomials(u), also for a stack of coefficients."""
         u = np.asarray(u, dtype=complex)
-        return complex(self.coefficients @ u[_basis(self.genus, 4)[0]].prod(axis=1))
+        return u[_basis(len(u), 4)[0]].prod(axis=1)
+
+    def value_at(self, u) -> complex:
+        return complex(self.coefficients @ QuarticForm.monomials(u))
 
     def max_abs(self) -> float:
         return float(np.abs(self.coefficients).max())

@@ -248,6 +248,110 @@ def test_identity_sweeps_build_no_characteristics(monkeypatch):
     assert len(calls) == 0
 
 
+def test_array_add_skips_nan_for_the_largest_absolute_residual():
+    check = IdentityCheck("probe", 2, 1, 0, 1e-9)
+    check.add(np.array([1e-16, np.nan, 3e-16]), np.ones(3), "x")
+    assert check.max_abs_residual == 3e-16
+    assert check.max_rel_residual == np.inf  # the NaN still fails the check
+    assert isinstance(check.max_abs_residual, float)
+    assert isinstance(check.max_rel_residual, float)
+    check = IdentityCheck("probe", 2, 1, 0, 1e-9)
+    check.add(np.array([np.nan, np.nan]), np.ones(2), "x")
+    assert check.max_abs_residual == 0.0
+
+
+def test_array_add_names_the_first_worst_element_and_builds_only_new_witnesses():
+    check = IdentityCheck("probe", 2, 1, 0, 1e-9)
+    calls = []
+
+    def witness(i):
+        calls.append(i)
+        return f"element {i}"
+
+    residuals = np.array([[1e-16, 4e-16], [2e-16, 4e-16]])
+    scales = np.array([[1.0, 2.0], [1.0, 2.0]])
+    check.add(residuals, scales, witness)
+    assert check.witness == "element 1"  # ties with element 3; the first in C order wins
+    assert (check.max_rel_residual, check.max_abs_residual) == (2e-16, 4e-16)
+    check.add(residuals, scales, witness)  # no new worst
+    check.add(np.array([1e-16, 0.0]), np.array([1.0, 0.0]), witness)  # 0 / 0 counts as 0
+    assert calls == [1]
+    check.add(np.array([1e-16, 1e-16]), np.array([1.0, 0.0]), witness)  # x / 0 is inf
+    assert calls == [1, 1] and check.max_rel_residual == np.inf
+
+
+def test_array_add_matches_scalar_adds():
+    rng = np.random.default_rng(5)
+    residuals, scales = rng.uniform(0, 1e-15, (3, 4)), rng.uniform(0.5, 2.0, (3, 4))
+    one_by_one = IdentityCheck("probe", 2, 1, 0, 1e-9)
+    for i, (r, s) in enumerate(zip(residuals.ravel(), scales.ravel())):
+        one_by_one.add(float(r), float(s), f"element {i}")
+    stacked = IdentityCheck("probe", 2, 1, 0, 1e-9)
+    stacked.add(residuals, scales, lambda i: f"element {i}")
+    assert stacked == one_by_one
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_riemann_quartic_reports_the_largest_absolute_residual(genus):
+    # at eps = 1e-4 truncation, not rounding, sets every residual, so a
+    # term-by-term recomputation agrees with the check's own to ~1e-12;
+    # the largest |lhs - rhs| is seldom where the relative one is largest
+    from siegeltheta.theta import theta_values
+
+    plan, eps = SamplePlan(seed=0, count=5), 1e-4
+    table = char_table(genus)
+    n = len(table.chars)
+    worst = 0.0
+    for tau, z in plan.tau_z_points(genus):
+        v0, vz, v2z = (
+            [v[a] for a in table.chars]
+            for v in (theta_values(table.chars, w, tau, eps) for w in (None, z, 2 * z))
+        )
+        for c in range(n):
+            for a in range(n):
+                rhs = sum(
+                    (-1) ** int(table.pairing[a, b] + table.cross[c, a] + table.cross[c, b])
+                    * v2z[b ^ c] * v0[b ^ c] * v0[b] ** 2
+                    for b in range(n)
+                ) / 2**genus
+                worst = max(worst, abs(vz[a ^ c] ** 2 * vz[a] ** 2 - rhs))
+    check = check_riemann_quartic(genus, plan, eps=eps)
+    assert check.max_abs_residual == pytest.approx(worst, rel=1e-9)
+
+
+def test_identity_sweeps_build_no_forms_from_a_filled_record(monkeypatch):
+    # with every point record and its psi forms already made, a sweep is
+    # array arithmetic: second_order_system builds no QuarticForm and
+    # transformation no SymmetricForm, and the Gopel checks square one
+    # psi sum per Gopel system plus the sum over all even characteristics
+    built = []
+
+    def counting(init):
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        return counted
+
+    for form in (QuarticForm, SymmetricForm):
+        monkeypatch.setattr(form, "__init__", counting(form.__init__))
+    plan = SamplePlan(seed=0, count=1)
+    for name, genus, at_most in (
+        ("second_order_system", 3, 0),
+        ("transformation", 2, 0),
+        ("gopel_quartet", 2, 15 + 1),
+        ("gopel_single", 2, 15 + 1),
+    ):
+        with identities.point_memo():
+            assert run_check(name, genus, plan).status == "pass"
+            built.clear()
+            assert run_check(name, genus, plan).status == "pass"
+            squares = [f for f in built if isinstance(f, QuarticForm)]
+            assert len(squares) <= at_most, name
+            if at_most == 0:
+                assert built == [], name
+
+
 def _negate_eta_00_01_on_second_sample(monkeypatch, plan):
     from siegeltheta.characteristics import digit_decode
 
