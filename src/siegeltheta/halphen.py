@@ -195,7 +195,7 @@ def _hyp2f1_series(a, b, c, z) -> complex:
         total += term
         if abs(term) <= 1e-15 * max(1.0, abs(total)) and k > 2:
             return total
-    raise ValueError("hypergeometric series did not converge to requested tolerance")
+    raise ValueError("hypergeometric series did not converge within 4000 terms")
 
 
 def legendre_lambda_checks(tau: complex, eps: float = DEFAULT_EPS) -> dict:

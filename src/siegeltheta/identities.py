@@ -16,12 +16,24 @@ max(tol, 1e-8), transformation uses max(tol, TRANSFORMATION_TOL).  The
 floors live in TOLERANCE_FLOORS, which the command line also reads for a
 check the kernel refuses.
 
-The checks index characteristics by position in characteristics.char_table
-and read sums, parities and signs from it.  Every z = 0 datum reaches a
-check through one point record, _point: one batch of moments at one tau,
-a dict of theta.Moments keyed by those positions.  A Moments forms its
-psi, delta_psi and psi_sq on first read, so the near-zero guard of the
-kernel fires only in checks that read psi.
+The checks index characteristics by position in characteristics.char_table.
+Every z = 0 datum reaches a check through one point record, _point: one
+batch of moments at one tau, a dict of theta.Moments keyed by those
+positions.  The exceptions: riemann_quartic takes its values at z = 0
+from the theta_values pass beside those at z and 2z, heat_equation
+differences values at shifted taus, and weight2_diagonal and phi_leading
+compare with genus-1 references (halphen.genus1_data).  A Moments forms
+its psi, delta_psi and psi_sq on first read, so the near-zero guard of
+the kernel fires only in checks that read psi.
+
+A sweep over characteristics is array arithmetic: a check stacks what it
+reads from the record in position order, signs and sums the stacks
+through the char_table matrices (pairing, cross, weight[add]), and hands
+whole arrays of residuals and scales to IdentityCheck.add, with a witness
+string or a function of the flat index of the worst element.  add keeps
+the largest absolute residual (NaN skipped) and the first largest
+relative one in C order, so interleaved residual kinds are stacked in the
+order they would be added one by one.
 
 The registry at the bottom maps stable check names to these functions
 and their supported genera; run_check is the one place that refuses a
@@ -173,7 +185,8 @@ class IdentityCheck:
     def to_json(self) -> dict:
         return asdict(self)
 
-    def add(self, abs_res, scale, witness):
+    def add(self, abs_res: float | np.ndarray, scale: float | np.ndarray,
+            witness: str | Callable[[int], str]):
         """Record residuals, a float or an array with scale of the same
         shape; keep the worst and remember where it happened.  witness
         is a string or a function of the flat index of the worst element,
@@ -305,7 +318,7 @@ def check_heat_equation(
     for k, tau in enumerate(plan.tau_points(genus)):
         data = _point(tau, eps)
         t2 = np.array([m.t2 for m in data.values()])
-        values = np.abs([m.value for m in data.values()])
+        magnitudes = np.abs([m.value for m in data.values()])
         for j in range(genus):
             for l in range(j, genus):
                 shift = np.zeros((genus, genus))
@@ -316,7 +329,7 @@ def check_heat_equation(
                 fd = np.array([vp[a] - vm[a] for a in evens]) / (2 * h) / norm
                 check.add(
                     np.abs(fd - t2[:, j, l]),
-                    np.maximum(np.abs(t2[:, j, l]), values),
+                    np.maximum(np.abs(t2[:, j, l]), magnitudes),
                     lambda i: f"sample={k} a={evens[i].label()} j={j + 1} l={l + 1}",
                 )
     return check.finish()
@@ -405,7 +418,8 @@ def check_odd_gradient_squared(
     table = char_table(genus)
     a_plus_b = table.add[np.ix_(table.odd, table.even)]
     even_sum = table.weight[a_plus_b] % 2 == 0  # otherwise theta_{a+b} = 0 in the summand
-    row = np.searchsorted(table.even, np.where(even_sum, a_plus_b, 0))  # of a+b in the record
+    # the record's row of a+b, and of the zero characteristic where a+b is odd
+    row = np.searchsorted(table.even, np.where(even_sum, a_plus_b, 0))
     sign = 1.0 - 2.0 * table.cross[np.ix_(table.odd, table.even)]
 
     def assemble(values, psi_diag, grads):
@@ -595,7 +609,8 @@ def check_gopel_quartet(
         psi = np.array([m.psi.coefficients for m in data.values()])
         lhs = np.array([m.delta_psi.coefficients for m in data.values()])[members].sum(axis=1)
         psi_sq = np.array([m.psi_sq.coefficients for m in data.values()])
-        rhs = _gopel_squares(psi, members) - 2.0 * psi_sq[members].sum(axis=1)
+        squares = np.array([_square(s) for s in psi[members].sum(axis=1)])  # per system
+        rhs = squares - 2.0 * psi_sq[members].sum(axis=1)
         check.add(
             np.abs(lhs - rhs).max(axis=1),
             np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1)),
@@ -604,15 +619,9 @@ def check_gopel_quartet(
     return check.finish()
 
 
-def _gopel_squares(psi: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """The quartic forms (sum_{b in G} psi_b)^2 stacked over the Gopel
-    systems G, from the stacked psi of a record and the rows of each
-    system's members in it."""
-    return np.array([_square(s) for s in psi[members].sum(axis=1)])
-
-
 def _square(coefficients: np.ndarray) -> np.ndarray:
-    """The quartic form phi(u)^2 of the quadratic form with these coefficients."""
+    """The coefficients of the quartic form phi(u)^2, for the quadratic
+    form phi with these coefficients."""
     phi = SymmetricForm(len(coefficients), coefficients)
     return QuarticForm.from_quadratic_product(phi, phi).coefficients
 
@@ -638,10 +647,8 @@ def check_gopel_single(
         psi_sq = np.array([m.psi_sq.coefficients for m in data.values()])
         lhs = np.array([m.delta_psi.coefficients for m in data.values()])
         sum_all_sq = _square(psi.sum(axis=0))
-        rhs = (
-            -2.0 * psi_sq - psi_sq.sum(axis=0) / 3.0 - sum_all_sq / 6.0
-            + 0.25 * owns @ _gopel_squares(psi, members)
-        )
+        gopel_sq = np.array([_square(s) for s in psi[members].sum(axis=1)])
+        rhs = -2.0 * psi_sq - psi_sq.sum(axis=0) / 3.0 - sum_all_sq / 6.0 + 0.25 * owns @ gopel_sq
         # consistency with the second-order system: same left side,
         # right side assembled from the pairing-signed fourth powers
         rhs3 = -2.0 * psi_sq + (sign * (values[None, :] / values[:, None]) ** 4) @ psi_sq
