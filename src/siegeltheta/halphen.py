@@ -92,11 +92,10 @@ def genus1_data(tau: complex, eps: float = DEFAULT_EPS) -> dict:
     # through the module attribute, so a wrapper on theta.batch_moments
     # (tracing, counting) also sees these calls
     moms = theta.batch_moments((_C00, _C01, _C10), pt, eps, order=2)
-    out = {}
-    for name, ch in (("00", _C00), ("01", _C01), ("10", _C10)):
-        out["theta_" + name] = moms[ch].value
-        out["psi_" + name] = complex(moms[ch].psi[0, 0])
-    return out
+    record = theta.PointRecord.stack(moms[a] for a in (_C00, _C01, _C10))
+    values, psi = record.value.tolist(), record.psi()[:, 0, 0].tolist()
+    return {f"{kind}_{name}": x for kind, row in (("theta", values), ("psi", psi))
+            for name, x in zip(("00", "01", "10"), row)}
 
 
 def state_from_theta(tau: complex, eps: float = DEFAULT_EPS) -> HalphenState:

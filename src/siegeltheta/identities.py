@@ -17,23 +17,25 @@ floors live in TOLERANCE_FLOORS, which the command line also reads for a
 check the kernel refuses.
 
 The checks index characteristics by position in characteristics.char_table.
-Every z = 0 datum reaches a check through one point record, _point: one
-batch of moments at one tau, a dict of theta.Moments keyed by those
-positions.  The exceptions: riemann_quartic takes its values at z = 0
-from the theta_values pass beside those at z and 2z, heat_equation
-differences values at shifted taus, and weight2_diagonal and phi_leading
-compare with genus-1 references (halphen.genus1_data).  A Moments forms
-its psi, delta_psi and psi_sq on first read, so the near-zero guard of
-the kernel fires only in checks that read psi.
+Every z = 0 datum reaches a check through one point record, _point: the
+theta.PointRecord of one batch of moments at one tau, rows in position
+order, which forms psi, delta(psi), psi^2 and eta on first read and
+refuses a near-zero thetanull only in the rows a check reads.  The
+exceptions: riemann_quartic takes its values at z = 0 from the
+theta_values pass beside those at z and 2z, heat_equation differences
+values at shifted taus, and weight2_diagonal and phi_leading compare
+with genus-1 references (halphen.genus1_data).
 
-A sweep over characteristics is array arithmetic: a check stacks what it
-reads from the record in position order, signs and sums the stacks
-through the char_table matrices (pairing, cross, weight[add]), and hands
-whole arrays of residuals and scales to IdentityCheck.add, with a witness
-string or a function of the flat index of the worst element.  add keeps
-the largest absolute residual (NaN skipped) and the first largest
-relative one in C order, so interleaved residual kinds are stacked in the
-order they would be added one by one.
+A sweep over characteristics is array arithmetic: a check signs and sums
+the record's stacks through the char_table matrices (pairing, cross,
+weight[add]), and hands whole arrays of residuals and scales to
+IdentityCheck.add, with a witness string or a function of the flat index
+of the worst element.  add keeps the largest absolute residual (NaN
+skipped) and the first largest relative one in C order, so interleaved
+residual kinds are stacked in the order they would be added one by one.
+The genus-2 thetanull formulas keep Python complex arithmetic, and
+_modulus gives arrays Python's abs: numpy rounds complex division and
+abs otherwise, which would move the reported bits.
 
 The registry at the bottom maps stable check names to these functions
 and their supported genera; run_check is the one place that refuses a
@@ -47,15 +49,18 @@ import contextlib
 import contextvars
 import itertools
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .characteristics import Characteristic, char_table, digit_decode
 from .exactpoly import phi_expressions
 from .siegel import SiegelPoint, act, cocycle_factor, random_gamma_48
-from .theta import DEFAULT_EPS, Moments, QuarticForm, SymmetricForm, batch_moments, theta_values
+from .theta import DEFAULT_EPS, PointRecord, QuarticForm, batch_moments
+from .theta import square_forms, theta_values
 from .halphen import genus1_data
 
 __all__ = [
@@ -238,16 +243,17 @@ def point_memo():
         _POINTS.reset(token)
 
 
-def _point(tau: SiegelPoint, eps: float, order: int = 2, positions=None) -> dict[int, Moments]:
-    """z = 0 data at one tau from one batch of moments: the Moments of the
-    characteristics at positions in char_table (every even one by
-    default), to the given order, keyed by position in that order.
+def _point(tau: SiegelPoint, eps: float, order: int = 2, positions=None) -> PointRecord:
+    """z = 0 data at one tau from one batch of moments: the PointRecord of
+    the characteristics at positions in char_table (every even one by
+    default), to the given order, its rows in that order.
 
     Inside point_memo (a campaign) the record is made once per (tau,
-    eps, order, positions) and shared; the key holds the order, since
-    a higher order takes a larger box and so other bits.  A call that
-    raises stores nothing, and outside point_memo nothing is kept.
-    Shared records are read-only: Moments arrays refuse writes."""
+    eps, order, positions) and shared, and the batch is dropped once
+    stacked; the key holds the order, since a higher order takes a
+    larger box and so other bits.  A call that raises stores nothing,
+    and outside point_memo nothing is kept.  Shared records are
+    read-only: their arrays refuse writes."""
     table = char_table(tau.genus)
     positions = table.even if positions is None else tuple(positions)
     memo = _POINTS.get()
@@ -256,7 +262,7 @@ def _point(tau: SiegelPoint, eps: float, order: int = 2, positions=None) -> dict
         return memo[key]
     chars = [table.chars[i] for i in positions]
     moments = batch_moments(chars, tau, eps, order=order)
-    record = {i: moments[a] for i, a in zip(positions, chars)}
+    record = PointRecord.stack(moments[a] for a in chars)
     if memo is not None:
         memo[key] = record
     return record
@@ -316,9 +322,8 @@ def check_heat_equation(
     evens = [table.chars[i] for i in table.even]
     h = _FD_STEP
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _point(tau, eps)
-        t2 = np.array([m.t2 for m in data.values()])
-        magnitudes = np.abs([m.value for m in data.values()])
+        record = _point(tau, eps)
+        t2, magnitudes = record.t2, np.abs(record.value)
         for j in range(genus):
             for l in range(j, genus):
                 shift = np.zeros((genus, genus))
@@ -354,12 +359,12 @@ def check_second_order_system(
     sign = 1.0 - 2.0 * table.pairing[np.ix_(table.even, table.even)]
     kinds = ("coefficients", "value at u")
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _point(tau, eps, order=4)
+        record = _point(tau, eps, order=4)
         rng = np.random.default_rng([plan.seed, genus, 97, k])
         u = rng.uniform(-1, 1, genus) + 1j * rng.uniform(-1, 1, genus)
-        t4 = np.array([m.value for m in data.values()]) ** 4
-        psi_sq = np.array([m.psi_sq.coefficients for m in data.values()])
-        lhs = t4[:, None] * np.array([m.delta_psi.coefficients for m in data.values()])
+        t4 = record.value ** 4
+        psi_sq = record.psi_sq()
+        lhs = t4[:, None] * record.delta_psi()
         rhs = (-2 * t4)[:, None] * psi_sq + (coeff * sign * t4) @ psi_sq
         scale = np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1)) + max(
             coeff * np.abs(t4) * np.abs(psi_sq).max(axis=1)
@@ -388,13 +393,11 @@ def _odd_gradient_sweep(check: IdentityCheck, plan: SamplePlan, eps: float, asse
     table = char_table(genus)
     labels = [table.chars[a].label() for a in table.odd]
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _point(tau, eps)
+        record = _point(tau, eps)
         odd = _point(tau, eps, order=1, positions=table.odd)
-        lhs, terms = assemble(
-            np.array([m.value for m in data.values()]),
-            np.array([m.psi.coefficients.diagonal() for m in data.values()]),
-            np.array([m.t1 for m in odd.values()]),
-        )
+        # contiguous: numpy's complex loops round by operand layout
+        psi_diag = record.psi().diagonal(axis1=1, axis2=2).copy()
+        lhs, terms = assemble(record.value, psi_diag, odd.t1)
         rhs = terms.sum(axis=1) / 2 ** (genus - 1)
         check.add(
             np.abs(lhs - rhs),
@@ -461,22 +464,21 @@ def check_odd_gradient_fourth(
 # transformation laws under the level-(4,8) theta group
 # ----------------------------------------------------------------------
 
-def _pair_laws(data: dict[int, Moments]) -> tuple[np.ndarray, np.ndarray]:
-    """For the pairs a < b of the record, in itertools.combinations order:
-    the stacked lambda_0 (psi_b - psi_a) with lambda_0 = theta_b / theta_a,
-    and eta_{a,b} = det(psi_b - psi_a) from one batched determinant."""
-    values = np.array([m.value for m in data.values()])
-    psi = np.array([m.psi.coefficients for m in data.values()])
-    a, b = np.triu_indices(len(data), 1)
-    diff = psi[b] - psi[a]
-    return (values[b] / values[a])[:, None, None] * diff, np.linalg.det(diff)
+def _pair_laws(record: PointRecord) -> tuple[np.ndarray, np.ndarray]:
+    """For the pairs a < b of the record's rows, in itertools.combinations
+    order: the stacked lambda_0 (psi_b - psi_a) with lambda_0 =
+    theta_b / theta_a, and eta_{a,b} = det(psi_b - psi_a)."""
+    psi = record.psi()
+    a, b = np.triu_indices(len(psi), 1)
+    return (record.value[b] / record.value[a])[:, None, None] * (psi[b] - psi[a]), record.eta(a, b)
 
 
-def _legendre_derivative(data: dict[int, Moments]) -> complex:
+def _legendre_derivative(record: PointRecord) -> complex:
     """delta(lambda) = 4 lambda (psi_10 - psi_00) at a genus-1 point, with
-    lambda = (theta_10 / theta_00)^4; 00 and 10 are positions 0 and 2."""
-    lam = (data[2].value / data[0].value) ** 4
-    return 4 * lam * (complex(data[2].psi[0, 0]) - complex(data[0].psi[0, 0]))
+    lambda = (theta_10 / theta_00)^4; 00 and 10 are rows 0 and 2."""
+    v00, v10 = record.value[[0, 2]].tolist()
+    p00, p10 = record.psi([0, 2])[:, 0, 0].tolist()
+    return 4 * (v10 / v00) ** 4 * (p10 - p00)
 
 
 def check_transformation_laws(
@@ -570,8 +572,8 @@ def check_weight2_diagonal(
     b = Characteristic(genus, (1,) * genus, (0,) * genus).code  # a = 0 is position 0
     samples = plan.scalar_taus() + [1j]
     for k, t0 in enumerate(samples):
-        data = _point(SiegelPoint(genus, t0 * np.eye(genus)), eps, positions=(0, b))
-        eta = _eta_from_psi(data, b, 0)
+        record = _point(SiegelPoint(genus, t0 * np.eye(genus)), eps, positions=(0, b))
+        eta = complex(record.eta(0, 1))
         d = genus1_data(t0, eps)
         diff = d["psi_10"] - d["psi_00"]
         check.add(abs(eta - diff**genus), max(abs(eta), abs(diff) ** genus),
@@ -605,25 +607,16 @@ def check_gopel_quartet(
     members = np.searchsorted(table.even, table.gopel)  # rows of the record
     systems = ["+".join(table.chars[x].label() for x in G) for G in table.gopel]
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _point(tau, eps, order=4)
-        psi = np.array([m.psi.coefficients for m in data.values()])
-        lhs = np.array([m.delta_psi.coefficients for m in data.values()])[members].sum(axis=1)
-        psi_sq = np.array([m.psi_sq.coefficients for m in data.values()])
-        squares = np.array([_square(s) for s in psi[members].sum(axis=1)])  # per system
-        rhs = squares - 2.0 * psi_sq[members].sum(axis=1)
+        record = _point(tau, eps, order=4)
+        psi = record.psi()
+        lhs = record.delta_psi()[members].sum(axis=1)
+        rhs = square_forms(psi[members].sum(axis=1)) - 2.0 * record.psi_sq()[members].sum(axis=1)
         check.add(
             np.abs(lhs - rhs).max(axis=1),
             np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1)),
             lambda i: f"sample={k} system={systems[i]}",
         )
     return check.finish()
-
-
-def _square(coefficients: np.ndarray) -> np.ndarray:
-    """The coefficients of the quartic form phi(u)^2, for the quadratic
-    form phi with these coefficients."""
-    phi = SymmetricForm(len(coefficients), coefficients)
-    return QuarticForm.from_quadratic_product(phi, phi).coefficients
 
 
 def check_gopel_single(
@@ -641,13 +634,10 @@ def check_gopel_single(
     sign = 1.0 - 2.0 * table.pairing[np.ix_(table.even, table.even)]
     kinds = ("", " (vs second-order system)")
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _point(tau, eps, order=4)
-        values = np.array([m.value for m in data.values()])
-        psi = np.array([m.psi.coefficients for m in data.values()])
-        psi_sq = np.array([m.psi_sq.coefficients for m in data.values()])
-        lhs = np.array([m.delta_psi.coefficients for m in data.values()])
-        sum_all_sq = _square(psi.sum(axis=0))
-        gopel_sq = np.array([_square(s) for s in psi[members].sum(axis=1)])
+        record = _point(tau, eps, order=4)
+        values, psi, psi_sq, lhs = record.value, record.psi(), record.psi_sq(), record.delta_psi()
+        sum_all_sq = square_forms(psi.sum(axis=0, keepdims=True))[0]
+        gopel_sq = square_forms(psi[members].sum(axis=1))
         rhs = -2.0 * psi_sq - psi_sq.sum(axis=0) / 3.0 - sum_all_sq / 6.0 + 0.25 * owns @ gopel_sq
         # consistency with the second-order system: same left side,
         # right side assembled from the pairing-signed fourth powers
@@ -682,7 +672,7 @@ def check_genus2_quadratic(
         ("00", "03", "01", "02", "30", "33"),
     ]
     for k, tau in enumerate(plan.tau_points(genus)):
-        t = {m.a.label(): m.value for m in _point(tau, eps).values()}
+        t = _labelled(_point(tau, eps))
         for idx, (x1, x2, y1, y2, z1, z2) in enumerate(rels):
             lhs = t[x1] ** 2 * t[x2] ** 2 - t[y1] ** 2 * t[y2] ** 2
             rhs = t[z1] ** 2 * t[z2] ** 2
@@ -707,7 +697,7 @@ def check_genus2_quartic(
         ("00", "03", "12", "20"),
     ]
     for k, tau in enumerate(plan.tau_points(genus)):
-        t = {m.a.label(): m.value for m in _point(tau, eps).values()}
+        t = _labelled(_point(tau, eps))
         for idx, (x1, x2, y1, y2) in enumerate(rels):
             lhs = t[x1] ** 4 - t[x2] ** 4
             rhs = t[y1] ** 4 + t[y2] ** 4
@@ -738,12 +728,13 @@ class _EmpiricalSigns:
         self.signs: dict[str, int] = {}
         self.flips: dict[str, list[int]] = {}
 
-    def resolve(self, key: str, ratio: complex, k: int) -> int:
-        """The sign of ratio at sample k."""
-        sgn = 1 if abs(ratio - 1) < abs(ratio + 1) else -1
-        if self.signs.setdefault(key, sgn) != sgn:
-            self.flips.setdefault(key, []).append(k)
-        return sgn
+    def resolve(self, keys: list[str], ratios: np.ndarray, k: int) -> np.ndarray:
+        """The signs of ratios at sample k, one per key."""
+        signs = np.where(_modulus(ratios - 1) < _modulus(ratios + 1), 1, -1)
+        for key, sgn in zip(keys, signs.tolist()):
+            if self.signs.setdefault(key, sgn) != sgn:
+                self.flips.setdefault(key, []).append(k)
+        return signs
 
     def finish(self, check: IdentityCheck) -> IdentityCheck:
         check.notes["signs"] = self.signs
@@ -758,9 +749,15 @@ class _EmpiricalSigns:
         return check
 
 
-def _eta_from_psi(data: dict[int, Moments], a: int, b: int) -> complex:
-    """det(psi_a - psi_b); det(psi_b - psi_a) is (-1)^g times it."""
-    return (data[a].psi - data[b].psi).det()
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| with the bits of Python's abs (libm hypot), which numpy's
+    complex absolute does not always give."""
+    return np.hypot(z.real, z.imag)
+
+
+def _labelled(record: PointRecord) -> dict[str, complex]:
+    """The thetanulls of a record by label."""
+    return dict(zip((a.label() for a in record.chars), record.value.tolist()))
 
 
 def check_eta_explicit(
@@ -770,11 +767,12 @@ def check_eta_explicit(
     factors and signs, plus the numerator rewriting of the first line
     through the quadratic relations."""
     check = IdentityCheck("genus2_eta_explicit", genus, plan.count, plan.seed, tol)
+    # rows of the even record; 00-03 are positions, so rows, 0-3
+    a, b = ([digit_decode(line[i]).code for line in _SIX_LINES] for i in (0, 1))
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _point(tau, eps)
-        t = {m.a.label(): m.value for m in data.values()}
-        for la, lb, sgn, nums in _SIX_LINES:
-            eta = _eta_from_psi(data, digit_decode(la).code, digit_decode(lb).code)
+        record = _point(tau, eps)
+        t = _labelled(record)
+        for eta, (la, lb, sgn, nums) in zip(record.eta(b, a).tolist(), _SIX_LINES):
             rhs = sgn / 16.0
             for x in nums:
                 rhs *= t[x] ** 2
@@ -798,27 +796,27 @@ def check_eta_product(
     divided by those of the two Gopel systems through {a, b}; after
     cancellation only theta_a^2 theta_b^2 remains in the denominator."""
     check = IdentityCheck("genus2_eta_product", genus, plan.count, plan.seed, tol)
-    systems = char_table(genus).gopel
+    table = char_table(genus)
+    labels = [table.chars[i].label() for i in table.even]
+    a, b = np.triu_indices(len(labels), 1)  # the pairs of rows of the record
+    pairs = [f"{labels[i]},{labels[j]}" for i, j in zip(a, b)]
+    # per pair, the rows of the members of the two Gopel systems through it
+    members = np.searchsorted(table.even, table.gopel).tolist()
+    through = [[d for G in members if i in G and j in G for d in G] for i, j in zip(a, b)]
     signs = _EmpiricalSigns("pair")
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _point(tau, eps)
-        prod_all = 1.0 + 0.0j
-        for m in data.values():
-            prod_all *= m.value**2
-        for a, b in itertools.combinations(data, 2):
-            through = [G for G in systems if a in G and b in G]
-            unsigned = prod_all / 16.0
-            for G in through:
-                for d in G:
-                    unsigned /= data[d].value ** 2
-            eta = _eta_from_psi(data, a, b)
-            key = f"{data[a].a.label()},{data[b].a.label()}"
-            sgn = signs.resolve(key, eta / unsigned, k)
-            check.add(
-                abs(eta - sgn * unsigned),
-                max(abs(eta), abs(unsigned)),
-                f"sample={k} pair={key}",
-            )
+        record = _point(tau, eps)
+        eta = record.eta(b, a)  # det(psi_a - psi_b), which also guards the divisors
+        squares = [v**2 for v in record.value.tolist()]
+        prod_all = math.prod(squares, start=1.0 + 0.0j) / 16.0
+        unsigned = np.array([reduce(operator.truediv, [squares[d] for d in rows], prod_all)
+                             for rows in through])
+        sgn = signs.resolve(pairs, eta / unsigned, k)
+        check.add(
+            _modulus(eta - sgn * unsigned),
+            np.maximum(_modulus(eta), _modulus(unsigned)),
+            lambda i: f"sample={k} pair={pairs[i]}",
+        )
     return signs.finish(check)
 
 
@@ -830,24 +828,25 @@ def check_power72(
     characteristic and recorded.  Both sides are compared through their
     logarithms (the raw products traverse ~90 orders of magnitude)."""
     check = IdentityCheck("genus2_power72", genus, plan.count, plan.seed, tol)
+    table = char_table(genus)
+    n = len(table.even)
+    labels = [table.chars[i].label() for i in table.even]
+    a, b = np.triu_indices(n, 1)  # the pairs of rows of the record
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[a, b] = pair[b, a] = np.arange(len(a))
+    others = pair[~np.eye(n, dtype=bool)].reshape(n, n - 1)  # per a, the pairs {a, b} by b
     signs = _EmpiricalSigns("a")
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _point(tau, eps)
-        etas = {}
-        for a, b in itertools.combinations(data, 2):
-            etas[(a, b)] = _eta_from_psi(data, a, b)
-        log_pairs = sum(np.log(complex(v)) for v in etas.values())
-        for a, ma in data.items():
-            log_lhs = 72.0 * np.log(complex(ma.value))
-            log_rhs = 72.0 * math.log(2.0) + log_pairs
-            for b in data:
-                if b == a:
-                    continue
-                key = (a, b) if (a, b) in etas else (b, a)
-                log_rhs -= 3.0 * np.log(complex(etas[key]))
-            ratio = complex(np.exp(log_lhs - log_rhs))
-            sgn = signs.resolve(ma.a.label(), ratio, k)
-            check.add(abs(ratio - sgn), 1.0, f"sample={k} a={ma.a.label()}")
+        record = _point(tau, eps)
+        log_eta = np.log(record.eta(b, a))  # of det(psi_a - psi_b), a < b
+        log_pairs = np.cumsum(log_eta)[-1]
+        # per a: 72 log 2 + log_pairs, minus 3 log eta of each pair through
+        # a in turn, in order of the other row
+        terms = np.column_stack([np.full(n, 72.0 * math.log(2.0) + log_pairs),
+                                 3.0 * log_eta[others]])
+        ratio = np.exp(72.0 * np.log(record.value) - np.subtract.accumulate(terms, axis=1)[:, -1])
+        sgn = signs.resolve(labels, ratio, k)
+        check.add(_modulus(ratio - sgn), np.ones(n), lambda i: f"sample={k} a={labels[i]}")
     signs.finish(check)
     check.notes["residual_definition"] = "|lhs/rhs - sign| via log-space evaluation"
     return check
@@ -856,11 +855,6 @@ def check_power72(
 # ----------------------------------------------------------------------
 # chi relation and leading coefficient; phi relation and its collapse
 # ----------------------------------------------------------------------
-
-def _psi123(data: dict[int, Moments], label: str) -> tuple[complex, complex, complex]:
-    p = data[digit_decode(label).code].psi
-    return complex(p[0, 0]), complex(p[1, 1]), complex(p[0, 1])
-
 
 def check_chi_relation(
     genus: int, plan: SamplePlan, eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL
@@ -874,9 +868,10 @@ def check_chi_relation(
     lead_expected = -3.0 / 256.0
     lead_values = []
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _point(tau, eps)
-        t = {m.a.label(): m.value for m in data.values()}
-        p00, p01, p02 = _psi123(data, "00"), _psi123(data, "01"), _psi123(data, "02")
+        record = _point(tau, eps)
+        t = _labelled(record)
+        # psi_11, psi_22 and psi_12 of 00, 01 and 02, rows 0-2 of the record
+        p00, p01, p02 = record.psi([0, 1, 2])[:, [0, 1, 0], [0, 1, 1]].tolist()
 
         def combination(u: complex) -> complex:
             # u plays the role of theta_03^2 inside the developed numerators
@@ -944,11 +939,12 @@ def check_phi_relation(
     symmetric partner obtained by swapping the two diagonal slots)."""
     check = IdentityCheck("phi_relation", genus, plan.count, plan.seed, tol)
     for k, tau in enumerate(plan.tau_points(genus)):
-        data = _point(tau, eps)
+        # psi_11, psi_22 and psi_12 of 00-03, rows 0-3 of the record
+        slots = _point(tau, eps).psi([0, 1, 2, 3])[:, [0, 1, 0], [0, 1, 1]].tolist()
         psi = {
             (lbl, j + 1): x
-            for lbl in ("00", "01", "02", "03")
-            for j, x in enumerate(_psi123(data, lbl))
+            for lbl, row in zip(("00", "01", "02", "03"), slots)
+            for j, x in enumerate(row)
         }
         for slot in (1, 2):
             phis = phi_expressions(psi, slot)
@@ -975,10 +971,9 @@ def check_phi_leading(
     scalars = [1j] + plan.scalar_taus()[:5]
     for k, t0 in enumerate(scalars):
         tau = SiegelPoint(genus, t0 * np.eye(genus))
-        data = _point(tau, eps, positions=(k00, k01, k02))
-        e1 = _eta_from_psi(data, k00, k01)
-        e2 = _eta_from_psi(data, k00, k02)
-        e3 = _eta_from_psi(data, k01, k02)
+        record = _point(tau, eps, positions=(k00, k01, k02))
+        # det(psi_00 - psi_01), det(psi_00 - psi_02), det(psi_01 - psi_02)
+        e1, e2, e3 = record.eta([1, 2, 2], [0, 0, 1]).tolist()
         lead = ((e1 + e2 + e3) ** 2 - 2 * (e1**2 + e2**2 + e3**2)) ** 2
         d = genus1_data(t0, eps)
         expected = d["theta_10"] ** 32 / 16**4

@@ -17,15 +17,13 @@ derivatives computable termwise as well,
 
     delta_jl theta_a = (1/(2 pi i)^2) d^2 theta_a / dz_j dz_l,
 
-i.e. a per-term factor m_j m_l.  Logarithmic derivatives of thetanulls
-are assembled into the symmetric matrix psi_a with entries
-psi_{a,jl} = delta_jl theta_a / theta_a, and the quartic form
-delta(psi_a) has coefficients
+i.e. a per-term factor m_j m_l.  batch_moments returns plain Moments;
+PointRecord stacks them and is the one place that forms psi_a (entries
+delta_jl theta_a / theta_a), psi_a^2, eta_{a,b} = det(psi_b - psi_a) and
+delta(psi_a), quartic forms being dense vectors over _basis(g, 4), from
+fourth-order z-derivative data, never from tau differencing:
 
-    delta_jl psi_{a,mp} = (fourth moment)_{jlmp} / theta_a
-                          - psi_{a,jl} psi_{a,mp},
-
-computed from fourth-order z-derivative data, never by tau differencing.
+    delta_jl psi_{a,mp} = (fourth moment)_{jlmp} / theta_a - psi_{a,jl} psi_{a,mp}.
 
 One basis, _basis(g, k), orders the monomials of degree k everywhere: the
 sorted index tuples in lexicographic order, with the map from each of the
@@ -67,17 +65,6 @@ bits of the full-box sum from half the exponentials.
 The radius scan builds the one-dimensional Gaussian terms of each
 (lambda, parity) once (_AxisSums) and takes each radius's sum from a
 prefix of them.
-
-A Moments record is the thetanull data of one characteristic, with t2
-and t4 the full symmetric g^2 and g^4 arrays, and the only owner of
-psi_a: Moments.psi forms it on first read and refuses a thetanull within
-10^3 of its certified tail bound; delta_psi and psi_sq read psi first.
-
-A QuarticForm is dense: one complex vector over _basis(g, 4) (1, 5 and
-15 monomials at genus 1, 2 and 3).  _symmetrize folds a 4-index array
-onto it with one np.add.at over the map, adding the orderings of each
-monomial in C order.  Sums, differences and scalar multiples are vector
-operations.
 """
 
 from __future__ import annotations
@@ -99,6 +86,8 @@ __all__ = [
     "SymmetricForm",
     "QuarticForm",
     "Moments",
+    "PointRecord",
+    "square_forms",
     "TruncationError",
     "NearZeroThetanull",
     "truncation_radius",
@@ -645,20 +634,11 @@ class ThetaJet:
 
 @dataclass(frozen=True)
 class Moments:
-    """Termwise z = 0 lattice moments of the characteristic a.
-
+    """Termwise z = 0 lattice moments of the characteristic a, plain data:
     value = theta_a(0, tau); t1[j] = sum m_j term (equals the gradient
     over 2 pi i); t2[j, l] = sum m_j m_l term (equals delta_jl theta_a);
-    t4[j, l, m, p] = sum m_j m_l m_m m_p term.  t2 and t4 are the full
-    symmetric arrays, None below order 2 and 4 of the batch.  The arrays
-    are read-only, since a campaign shares one record among its checks.
-
-    psi, delta_psi and psi_sq are formed on first read and kept
-    (cached_property writes the instance __dict__, which the frozen
-    dataclass allows).  psi raises NearZeroThetanull when theta_a lies
-    within 10^3 of its certified tail bound; delta_psi and psi_sq read
-    psi first.  A read above the record's order raises ValueError.
-    """
+    t4[j, l, m, p] = sum m_j m_l m_m m_p term.  The arrays are read-only,
+    t2 and t4 full and symmetric, None below order 2 and 4 of the batch."""
 
     value: complex
     t1: np.ndarray
@@ -668,34 +648,94 @@ class Moments:
     radius: int
     a: Characteristic
 
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True)
+class PointRecord:
+    """The z = 0 moments of several characteristics at one tau, row i
+    holding chars[i]: value[n], t1[n, g], t2[n, g, g], t4[n, g, g, g, g]
+    (None below the order of the batch) and tail_bound[n], read-only.
+
+    psi, delta_psi, psi_sq and eta are formed for every row on first read
+    and kept.  A read returns the rows asked for (all by default), or
+    raises NearZeroThetanull naming the first whose thetanull lies within
+    10^3 of its certified tail bound (such rows hold inf or nan), or
+    ValueError above the record's order."""
+
+    chars: tuple[Characteristic, ...]
+    value: np.ndarray
+    t1: np.ndarray
+    t2: np.ndarray | None
+    t4: np.ndarray | None
+    tail_bound: np.ndarray
+
+    @classmethod
+    def stack(cls, moments) -> PointRecord:
+        """The record of an iterable of Moments, in its order."""
+        ms = list(moments)
+        stacks = ([getattr(m, f) for m in ms] for f in ("value", "t1", "t2", "t4", "tail_bound"))
+        return cls(tuple(m.a for m in ms),
+                   *(None if s[0] is None else _frozen(np.array(s)) for s in stacks))
+
+    def psi(self, rows=slice(None)) -> np.ndarray:
+        """psi_a = t2 / theta_a, [n, g, g] or the rows asked for."""
+        return self._psi[self._guard(rows)]
+
+    def delta_psi(self, rows=slice(None)) -> np.ndarray:
+        """The quartic forms delta(psi_a), psi read as the raw t2 / theta_a."""
+        return self._delta_psi[self._guard(rows)]
+
+    def psi_sq(self, rows=slice(None)) -> np.ndarray:
+        """The quartic forms psi_a(u)^2."""
+        return self._psi_sq[self._guard(rows)]
+
+    def eta(self, a, b) -> np.ndarray:
+        """eta_{a,b} = det(psi_b - psi_a) for rows a, b: integers or index arrays."""
+        eta = self._eta
+        self._guard(np.stack(np.broadcast_arrays(a, b), axis=-1))
+        return eta[a, b]
+
+    def _guard(self, rows):
+        for i in np.arange(len(self.chars))[rows].ravel().tolist():
+            if abs(self.value[i]) <= 1e3 * self.tail_bound[i]:
+                raise NearZeroThetanull(
+                    f"thetanull {self.chars[i].label()}: |theta| = {abs(self.value[i]):.3g} is "
+                    f"within 10^3 of the certified tail bound {self.tail_bound[i]:.3g}"
+                )
+        return rows
+
     @cached_property
-    def psi(self) -> SymmetricForm:
-        """psi_a = t2 / theta_a."""
+    def _quotient(self) -> np.ndarray:
         if self.t2 is None:
             raise ValueError("psi needs moments of order 2")
-        if abs(self.value) <= 1e3 * self.tail_bound:
-            raise NearZeroThetanull(
-                f"thetanull {self.a.label()}: |theta| = {abs(self.value):.3g} is within 10^3 "
-                f"of the certified tail bound {self.tail_bound:.3g}"
-            )
-        return SymmetricForm(self.a.genus, self.t2 / self.value)
+        with np.errstate(all="ignore"):
+            return self.t2 / self.value[:, None, None]
 
     @cached_property
-    def delta_psi(self) -> QuarticForm:
-        """delta(psi_a): the symmetrization of t4_{jlmp} / theta_a - psi_jl psi_mp,
-        with psi the raw quotient t2 / theta_a (SymmetricForm would turn a
-        -0.0 entry into +0.0)."""
+    def _psi(self) -> np.ndarray:
+        return _frozen(self._quotient + 0.0)  # turns -0.0 into +0.0
+
+    @cached_property
+    def _delta_psi(self) -> np.ndarray:
         if self.t4 is None:
             raise ValueError("delta_psi needs moments of order 4")
-        self.psi  # the near-zero guard
-        psi = self.t2 / self.value
-        full = self.t4 / self.value - np.multiply.outer(psi, psi)
-        return QuarticForm(self.a.genus, _symmetrize(full))
+        with np.errstate(all="ignore"):
+            full = self.t4 / self.value[:, None, None, None, None] - _outer_squares(self._quotient)
+            return _frozen(_symmetrize(full))
 
     @cached_property
-    def psi_sq(self) -> QuarticForm:
-        """The quartic form psi_a(u)^2."""
-        return QuarticForm.from_quadratic_product(self.psi, self.psi)
+    def _psi_sq(self) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return _frozen(square_forms(self._psi))
+
+    @cached_property
+    def _eta(self) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return _frozen(np.linalg.det(self._psi[None, :] - self._psi[:, None]))
 
 
 def _sums(chars, z, tau: SiegelPoint, eps_by_weight: dict, degrees):
@@ -779,11 +819,9 @@ def batch_moments(
     eps_by_weight = dict.fromkeys(range(order + 1), eps)
     out: dict[Characteristic, Moments] = {}
     for a, s, bound, nrad in _sums(chars, None, tau, eps_by_weight, degrees):
-        t1 = np.array(s[1])
-        t2, t4 = (np.array(s[k])[_basis(a.genus, k)[1]] if k in s else None for k in (2, 4))
-        for t in (t1, t2, t4):
-            if t is not None:
-                t.setflags(write=False)
+        t1 = _frozen(np.array(s[1]))
+        t2, t4 = (_frozen(np.array(s[k])[_basis(a.genus, k)[1]]) if k in s else None
+                  for k in (2, 4))
         out[a] = Moments(s[0][0], t1, t2, t4, bound, nrad, a)
     return out
 
@@ -803,58 +841,36 @@ class SymmetricForm:
         c = np.asarray(self.coefficients, dtype=complex)
         if c.shape != (self.genus, self.genus):
             raise ValueError("coefficient matrix has wrong shape")
-        # exact symmetry from the upper triangle; + 0.0 turns -0.0 into +0.0
-        c = c + 0.0
-        lower, upper = _lower_triangle(self.genus)
-        c[lower] = c[upper]
-        c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
-
-    def __getitem__(self, jl):
-        return self.coefficients[jl]
-
-    def __add__(self, other):
-        return SymmetricForm(self.genus, self.coefficients + other.coefficients)
-
-    def __sub__(self, other):
-        return SymmetricForm(self.genus, self.coefficients - other.coefficients)
-
-    def __mul__(self, s):
-        return SymmetricForm(self.genus, self.coefficients * s)
-
-    __rmul__ = __mul__
-
-    def value_at(self, u) -> complex:
-        u = np.asarray(u, dtype=complex)
-        return complex(u @ self.coefficients @ u)
-
-    def det(self) -> complex:
-        return complex(np.linalg.det(self.coefficients))
-
-
-@lru_cache(maxsize=None)
-def _lower_triangle(genus: int) -> tuple[tuple, tuple]:
-    """(lower, upper): index arrays of the entries below the diagonal and
-    of their mirror images above it."""
-    rows, cols = np.tril_indices(genus, -1)
-    for index in (rows, cols):
-        index.setflags(write=False)
-    return (rows, cols), (cols, rows)
+        # exact symmetry from the upper triangle; adding +0.0 turns -0.0 into +0.0
+        object.__setattr__(self, "coefficients", _frozen(np.triu(c) + np.triu(c, 1).T))
 
 
 def _symmetrize(full: np.ndarray) -> np.ndarray:
-    """Monomial coefficients of the quartic form with 4-index array full:
-    each is the sum of full over the orderings of its indices, added in
-    C order of (j, l, m, p)."""
-    keys, index = _basis(full.shape[0], 4)
-    out = np.zeros(len(keys), dtype=complex)
-    np.add.at(out, index.reshape(-1), full.reshape(-1))
+    """The quartic forms with 4-index arrays full[..., j, l, m, p]: each
+    monomial's coefficient sums its index orderings, in C order."""
+    keys, index = _basis(full.shape[-1], 4)
+    out = np.zeros(full.shape[:-4] + (len(keys),), dtype=complex)
+    np.add.at(out, (..., index.reshape(-1)), full.reshape(full.shape[:-4] + (-1,)))
     return out
+
+
+def _outer_squares(phi: np.ndarray) -> np.ndarray:
+    """phi_jl phi_mp for a stack [n, g, g], row by row: numpy rounds a
+    complex product by the length of its loop (one element, as at genus
+    1, is not fused), so each row keeps the bits of its own product."""
+    return np.array([np.multiply.outer(p, p) for p in phi])
+
+
+def square_forms(phi: np.ndarray) -> np.ndarray:
+    """The quartic forms phi(u)^2 of a stack [n, g, g] of symmetric
+    coefficient arrays, a -0.0 entry read as +0.0 (as SymmetricForm does)."""
+    return _symmetrize(_outer_squares(phi + 0.0))
 
 
 @dataclass(frozen=True)
 class QuarticForm:
-    """A quartic form in u, one complex vector over the monomial basis.
+    """A quartic form in u, one complex vector over the monomial basis
+    (1, 5 and 15 monomials at genus 1, 2 and 3).
 
     coefficients[i] is the full coefficient of the monomial
     u_j u_l u_m u_p with (j, l, m, p) = _basis(genus, 4)[0][i],
@@ -873,17 +889,6 @@ class QuarticForm:
         full = np.multiply.outer(phi.coefficients, eta.coefficients)
         return QuarticForm(phi.genus, _symmetrize(full))
 
-    def __add__(self, other):
-        return QuarticForm(self.genus, self.coefficients + other.coefficients)
-
-    def __sub__(self, other):
-        return QuarticForm(self.genus, self.coefficients - other.coefficients)
-
-    def __mul__(self, s):
-        return QuarticForm(self.genus, self.coefficients * s)
-
-    __rmul__ = __mul__
-
     def coefficient(self, j, l, m, p) -> complex:
         """The coefficient of u_j u_l u_m u_p, in any index order."""
         return complex(self.coefficients[_basis(self.genus, 4)[1][j, l, m, p]])
@@ -897,9 +902,6 @@ class QuarticForm:
 
     def value_at(self, u) -> complex:
         return complex(self.coefficients @ QuarticForm.monomials(u))
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.coefficients).max())
 
 
 # ----------------------------------------------------------------------
@@ -925,7 +927,7 @@ def psi_matrix(a: Characteristic, tau: SiegelPoint, eps: float = DEFAULT_EPS) ->
     """The symmetric matrix psi_a with entries delta_jl theta_a / theta_a."""
     if not a.is_even:
         raise ValueError("psi_matrix is defined for even characteristics")
-    return theta_moments(a, tau, eps, order=2).psi
+    return SymmetricForm(a.genus, PointRecord.stack([theta_moments(a, tau, eps, order=2)]).psi(0))
 
 
 def odd_z_gradient(a: Characteristic, tau: SiegelPoint, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -937,11 +939,8 @@ def odd_z_gradient(a: Characteristic, tau: SiegelPoint, eps: float = DEFAULT_EPS
 
 
 def quartic_delta_psi(a: Characteristic, tau: SiegelPoint, eps: float = DEFAULT_EPS) -> QuarticForm:
-    """The quartic form delta(psi_a) with entries delta_jl psi_{a,mp}.
-
-    Computed from fourth-order z-derivative data and the quotient rule;
-    tau finite differences are used only as a test oracle elsewhere.
-    """
+    """The quartic form delta(psi_a) with entries delta_jl psi_{a,mp}, from
+    fourth-order z-derivative data (tau differences are a test oracle)."""
     if not a.is_even:
         raise ValueError("quartic_delta_psi is defined for even characteristics")
-    return theta_moments(a, tau, eps, order=4).delta_psi
+    return QuarticForm(a.genus, PointRecord.stack([theta_moments(a, tau, eps)]).delta_psi(0))

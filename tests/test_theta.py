@@ -16,6 +16,7 @@ from siegeltheta.characteristics import Characteristic, enumerate_characteristic
 from siegeltheta.siegel import DerivationIndex, SiegelPoint
 from siegeltheta.theta import (
     NearZeroThetanull,
+    PointRecord,
     QuarticForm,
     SymmetricForm,
     TruncationError,
@@ -456,18 +457,20 @@ def test_psi_requires_even_and_guards_near_zero():
 def test_moments_form_psi_once_and_guard_it():
     pt = _random_point(2, 20)
     a = Characteristic(2, (1, 0), (0, 1))
-    mom = theta_moments(a, pt, 1e-14, order=2)
-    assert mom.a == a
-    assert mom.psi is mom.psi  # formed once, on first read
-    assert _hex(psi_matrix(a, pt).coefficients) == _hex(mom.psi.coefficients)
+    record = PointRecord.stack([theta_moments(a, pt, 1e-14, order=2)])
+    assert record.chars == (a,)
+    assert record.psi(0).base is record.psi().base  # formed once, on first read
+    assert _hex(psi_matrix(a, pt).coefficients) == _hex(record.psi(0))
     # thetanull 33 vanishes at every diagonal genus-2 point: its value
-    # reads, and psi and delta(psi) refuse
+    # reads, and psi, delta(psi), psi^2 and eta refuse
     a33 = Characteristic(2, (1, 1), (1, 1))
-    m33 = theta_moments(a33, SiegelPoint(2, np.diag([0.3 + 1.1j, -0.2 + 0.9j])), 1e-14)
-    assert np.isfinite(m33.value)
-    for attr in ("psi", "delta_psi"):
+    diagonal = SiegelPoint(2, np.diag([0.3 + 1.1j, -0.2 + 0.9j]))
+    m33 = PointRecord.stack([theta_moments(a33, diagonal, 1e-14), theta_moments(a, diagonal, 1e-14)])
+    assert np.isfinite(m33.value).all()
+    assert np.isfinite(m33.psi(1)).all()
+    for read in (m33.psi, m33.delta_psi, m33.psi_sq, lambda: m33.eta(1, 0)):
         with pytest.raises(NearZeroThetanull, match="thetanull 33"):
-            getattr(m33, attr)
+            read()
 
 
 def test_moments_refuse_reads_above_their_order():
@@ -475,13 +478,14 @@ def test_moments_refuse_reads_above_their_order():
     # delta(psi) refuse rather than form a zero form or fail on a key
     pt = _random_point(2, 21)
     a = Characteristic(2, (0, 1), (0, 0))
-    m1 = theta_moments(a, pt, 1e-14, order=1)
-    m2 = theta_moments(a, pt, 1e-14, order=2)
+    m1 = PointRecord.stack([theta_moments(a, pt, 1e-14, order=1)])
+    m2 = PointRecord.stack([theta_moments(a, pt, 1e-14, order=2)])
     assert m1.t2 is None and m1.t4 is None and m2.t4 is None
     for mom, attr in ((m1, "psi"), (m1, "psi_sq"), (m1, "delta_psi"), (m2, "delta_psi")):
         with pytest.raises(ValueError, match="needs moments of order"):
-            getattr(mom, attr)
-    assert _hex(m2.psi.coefficients) == _hex(SymmetricForm(2, m2.t2 / m2.value).coefficients)
+            getattr(mom, attr)()
+    single = theta_moments(a, pt, 1e-14, order=2)
+    assert _hex(m2.psi(0)) == _hex(SymmetricForm(2, single.t2 / single.value).coefficients)
 
 
 def test_odd_gradient_jacobi_formula():
@@ -576,7 +580,7 @@ def test_dense_quartic_forms_match_dict_reference(genus):
         mom = theta_moments(a, pt, 1e-14, order=4)
         psi = mom.t2 / mom.value
         cases.append((
-            mom.delta_psi,
+            quartic_delta_psi(a, pt, 1e-14),
             _dict_symmetrize(genus, lambda j, l, mm, pp: (
                 mom.t4[tuple(sorted((j, l, mm, pp)))] / mom.value, psi[j, l] * psi[mm, pp]
             )),
