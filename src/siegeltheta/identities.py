@@ -767,7 +767,7 @@ def check_eta_explicit(
     factors and signs, plus the numerator rewriting of the first line
     through the quadratic relations."""
     check = IdentityCheck("genus2_eta_explicit", genus, plan.count, plan.seed, tol)
-    # rows of the even record; 00-03 are positions, so rows, 0-3
+    # the rows of 00-03 in the even record are their positions, 0-3
     a, b = ([digit_decode(line[i]).code for line in _SIX_LINES] for i in (0, 1))
     for k, tau in enumerate(plan.tau_points(genus)):
         record = _point(tau, eps)
@@ -839,7 +839,7 @@ def check_power72(
     for k, tau in enumerate(plan.tau_points(genus)):
         record = _point(tau, eps)
         log_eta = np.log(record.eta(b, a))  # of det(psi_a - psi_b), a < b
-        log_pairs = np.cumsum(log_eta)[-1]
+        log_pairs = np.cumsum(log_eta)[-1]  # in pair order; np.sum would pair the terms up
         # per a: 72 log 2 + log_pairs, minus 3 log eta of each pair through
         # a in turn, in order of the other row
         terms = np.column_stack([np.full(n, 72.0 * math.log(2.0) + log_pairs),
