@@ -75,11 +75,14 @@ class Characteristic:
             raise ValueError("bit vectors must have length equal to the genus")
         object.__setattr__(self, "a_prime", ap)
         object.__setattr__(self, "a_double_prime", ad)
+        # computed once and kept, not fields: weight is |a| = a'.a'' in
+        # {0,...,g}, and the hash is the one the dataclass would compute
+        # from the fields, so dict and set order stay as they were
+        object.__setattr__(self, "weight", sum(p * q for p, q in zip(ap, ad)))
+        object.__setattr__(self, "_hash", hash((self.genus, ap, ad)))
 
-    @property
-    def weight(self) -> int:
-        """|a| = a'.a'' as an integer in {0,...,g}."""
-        return sum(p * q for p, q in zip(self.a_prime, self.a_double_prime))
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_even(self) -> bool:

@@ -45,12 +45,24 @@ deeper box runs alone.
 Each sum is exactly rounded: it has the bits math.fsum gives its terms,
 so it is reproducible bitwise and does not depend on the order of its
 terms, nor on the group its coset was summed in.  _group_sums writes the
-real and imaginary parts of the weighted rows of every characteristic
-and degree of a group into blocks of at most 256 KiB (a shorter box's
-rows padded with -0.0), and _row_sums sums each block with a vectorized
-TwoSum tree.  A row's tree sum is kept only where a rounding-error bound
-proves it to be fsum's; the rest, and every block too small for the
-tree to pay, go to fsum row by row.
+real and imaginary parts of its weighted rows into blocks of at most
+256 KiB (a shorter row padded with -0.0), and _two_sum_tree sums each
+block with a vectorized TwoSum tree, giving each row's sum as a rounded
+value r and remainder f within a proven bound.  _row_sums keeps r where
+the bound proves it to be fsum's; the rest, and every block too small
+for the tree to pay, go to fsum row by row.
+
+A coset of several characteristics forms each weighted row once, not
+once per characteristic.  For m = n + a'/2 the phase of a'' is
+i^|a| (-1)^(n.a''), so the sum of a is i^|a| sum_c (-1)^(c.a'') S_c
+over the 2^g parity classes c = n mod 2, S_c the sum over the points of
+class c.  The rows are formed over the box ordered by class and summed
+class by class, each S_c kept double-length as the tree's (r, f), and
+_class_combination sums the signed (r, f) of each characteristic,
+keeping the result where its bound proves it to be the exactly rounded
+sum.  Any other sum (a zero, a last bit too close to call) is summed
+again from its own row, as a coset of one characteristic always is, so
+every bit is as the rows per characteristic give it.
 
 Without a z term the sum is folded over m <-> -m: the box is symmetric,
 and for a monomial of degree k the weighted term of -m is
@@ -60,7 +72,9 @@ characteristics give value and Hessian exactly 0 at z = 0, even ones
 give gradient exactly 0), and every other sum is the exactly rounded
 sum of the origin term once and of twice the terms after it.  Doubling
 is exact and leaves the exact sum as it was, so the fold returns the
-bits of the full-box sum from half the exponentials.
+bits of the full-box sum from half the exponentials.  The half box
+splits into the same parity classes, so the class sums serve the fold
+too.
 
 The radius scan builds the one-dimensional Gaussian terms of each
 (lambda, parity) once (_AxisSums) and takes each radius's sum from a
@@ -71,9 +85,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 from math import fsum
 
 import numpy as np
@@ -392,9 +406,17 @@ def _basis(genus: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return keys, index
 
 
-def _row_sums(block: np.ndarray) -> list[float]:
-    """[math.fsum(row) for row in block], bit for bit, for a C-contiguous
-    2-D float64 block, from a vectorized TwoSum tree.
+def _in_range(block: np.ndarray) -> bool:
+    """Whether every |x| of a 2-D block is below 2^1000 / n, n its width:
+    then no partial sum of a row, in any order, overflows.  False when the
+    block holds an inf or a nan."""
+    return bool(max(block.max(), -block.min()) < 2.0**1000 / block.shape[1])
+
+
+def _two_sum_tree(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, f, b) per row of a C-contiguous 2-D float64 block with
+    _in_range: the row's exact sum s is r + f + d with |d| <= b + 2^-1075,
+    and r = fl(r + f).
 
     Method (Ogita, Rump and Oishi, "Accurate sum and dot product", SIAM J.
     Sci. Comput. 26, 2005; Rump, Ogita and Oishi, "Accurate floating-point
@@ -404,20 +426,14 @@ def _row_sums(block: np.ndarray) -> list[float]:
     e = (a - (s - b')) + (b - b').  A row of n terms ends as its top sum
     and its m = n - 1 errors E.  Level by level the errors are added into
     sigma = fl(sum E) and A' = fl(sum |E|), each an order of m additions
-    (the first, to 0, exact).  Then (r, f) = TwoSum(top, sigma), and r is
-    returned when
+    (the first, to 0, exact).  Then (r, f) = TwoSum(top, sigma) and
+    b = fl(c A') with c = 4 m u, u = 2^-53.
 
-        fl(|f| + fl(c A')) < h,   c = 4 m u,   u = 2^-53,
-
-    with h = fl(g / 2) and g = |r - nextafter(r, 0)|, the smaller of the
-    two gaps beside r.  Any other row is fsum'd.
-
-    Proof that an accepted r is fsum's.  fsum returns the exact sum s
-    rounded to nearest, ties to even, unless a partial sum overflows.
-    - TwoSum is exact: a + b = s + e whenever s does not overflow.  An
-      addition whose result underflows is itself exact, so this holds
-      among subnormals too.  By induction over the tree, s = top + sum E,
-      and r + f = top + sigma exactly.
+    Proof of the bound.
+    - TwoSum is exact: a + b = s + e whenever s does not overflow, which
+      _in_range guarantees.  An addition whose result underflows is itself
+      exact, so this holds among subnormals too.  By induction over the
+      tree, s = top + sum E, and r + f = top + sigma exactly.
     - Any order of m additions gives |sigma - sum E| <= gamma_{m-1} A,
       with A = sum |E| and gamma_k = k u / (1 - k u); the same bound on A'
       gives A <= A' / (1 - gamma_{m-1}).  For (m - 1) u <= 1/4 (any block
@@ -426,37 +442,9 @@ def _row_sums(block: np.ndarray) -> list[float]:
     - The bound is itself rounded.  c is exact (m times a power of two).
       If c A' is normal, fl(c A') >= (1 - u) c A' >= (c/2) A'; if it is
       subnormal, fl(c A') >= c A' - 2^-1075.  Either way
-      gamma_{m-1} A <= fl(c A') + 2^-1075.
-    - Rounding to nearest is monotone and h is a float, so
-      fl(|f| + fl(c A')) < h gives |f| + fl(c A') < h exactly.  Both sides
-      are multiples of 2^-1074, as every float is, so
-      |f| + fl(c A') <= h - 2^-1074.
-    - Hence |s - r| = |f - (sigma - sum E)| <= |f| + gamma_{m-1} A
-      <= h - 2^-1075 < h.  g is exact (Sterbenz), and so is h = g / 2
-      unless g = 2^-1074, where h = 0 and nothing is accepted.  So s lies
-      strictly inside the interval of reals that round to r; strictness
-      keeps s off the two ties at its ends, where the rounding would
-      depend on the last bit of r.  fsum returns r.
-    At r = 0 the gap is 0 and nothing is accepted, which leaves the sign
-    of a zero sum to fsum.  fsum raises OverflowError when a partial sum
-    in its input order overflows, which the tree's order need not meet,
-    and ValueError on inf - inf.  So a block holding an inf or a nan, or
-    whose largest |x| is at least 2^1000 / n, is fsum'd row by row, which
-    raises or returns inf or nan exactly as fsum does.  Below that bound
-    every partial sum of any order is below 2^1000, and no step of the
-    tree or of fsum overflows.
-
-    Two sizes are measured, not tuned per workload.  _group_sums caps a
-    block at _BLOCK_BYTES (256 KiB): the tree's temporaries add about 1.5
-    times the block, and caps of 2 MiB and 8 MiB raised the peak RSS of
-    a genus-2 campaign round from 42 to 47-48 MiB at the same speed.  A
-    block of fewer than _TREE_MIN_TERMS (4096) terms is fsum'd row by
-    row: each level of the tree costs a dozen numpy calls whatever its
-    size, and below about 3000 to 4000 terms fsum of the rows is faster.
+      |d| = |sigma - sum E| <= gamma_{m-1} A <= b + 2^-1075.
     """
     rows, n = block.shape
-    if rows * n < _TREE_MIN_TERMS or not max(block.max(), -block.min()) < 2.0**1000 / n:
-        return [fsum(row) for row in block.tolist()]
     x = block
     sigma = np.zeros(rows)
     mag = np.zeros(rows)
@@ -481,12 +469,90 @@ def _row_sums(block: np.ndarray) -> list[float]:
     r = top + sigma
     bb = r - top
     f = (top - (r - bb)) + (sigma - bb)
+    return r, f, (4.0 * (n - 1) * _U) * mag
+
+
+def _row_sums(block: np.ndarray) -> list[float]:
+    """[math.fsum(row) for row in block], bit for bit, for a C-contiguous
+    2-D float64 block, from _two_sum_tree.
+
+    A row's r is returned when
+
+        fl(|f| + b) < h,
+
+    with h = fl(g / 2) and g = |r - nextafter(r, 0)|, the smaller of the
+    two gaps beside r.  Any other row is fsum'd.
+
+    Proof that an accepted r is fsum's.  fsum returns the exact sum s
+    rounded to nearest, ties to even, unless a partial sum overflows.
+    - Rounding to nearest is monotone and h is a float, so
+      fl(|f| + b) < h gives |f| + b < h exactly.  Both sides are
+      multiples of 2^-1074, as every float is, so |f| + b <= h - 2^-1074.
+    - Hence, by _two_sum_tree, |s - r| <= |f| + b + 2^-1075
+      <= h - 2^-1075 < h.  g is exact (Sterbenz), and so is h = g / 2
+      unless g = 2^-1074, where h = 0 and nothing is accepted.  So s lies
+      strictly inside the interval of reals that round to r; strictness
+      keeps s off the two ties at its ends, where the rounding would
+      depend on the last bit of r.  fsum returns r.
+    At r = 0 the gap is 0 and nothing is accepted, which leaves the sign
+    of a zero sum to fsum.  fsum raises OverflowError when a partial sum
+    in its input order overflows, which the tree's order need not meet,
+    and ValueError on inf - inf.  So a block that is not _in_range (it
+    holds an inf or a nan, or its largest |x| is at least 2^1000 / n) is
+    fsum'd row by row, which raises or returns inf or nan exactly as fsum
+    does.  Below that bound every partial sum of any order is below
+    2^1000, and no step of the tree or of fsum overflows.
+
+    Two sizes are measured, not tuned per workload.  _group_sums caps a
+    block at _BLOCK_BYTES (256 KiB): the tree's temporaries add about 1.5
+    times the block, and caps of 2 MiB and 8 MiB raised the peak RSS of
+    a genus-2 campaign round from 42 to 47-48 MiB at the same speed.  A
+    block of fewer than _TREE_MIN_TERMS (4096) terms is fsum'd row by
+    row: each level of the tree costs a dozen numpy calls whatever its
+    size, and below about 3000 to 4000 terms fsum of the rows is faster.
+    """
+    rows, n = block.shape
+    if rows * n < _TREE_MIN_TERMS or not _in_range(block):
+        return [fsum(row) for row in block.tolist()]
+    r, f, b = _two_sum_tree(block)
     gap = np.abs(r - np.nextafter(r, 0.0))
-    accept = np.abs(f) + (4.0 * (n - 1) * _U) * mag < gap / 2
+    accept = np.abs(f) + b < gap / 2
     out = r.tolist()
     for i in np.flatnonzero(~accept).tolist():
         out[i] = fsum(block[i].tolist())
     return out
+
+
+def _class_combination(r, f, b, idx, signs) -> tuple[np.ndarray, np.ndarray]:
+    """(x, certified): x[i] rounds sum_c signs[i, c] X[idx[i, c]], where
+    each X is an exact sum known as r + f + d with |d| <= b + 2^-1075 (the
+    (r, f, b) of _two_sum_tree), and certified[i] says that x[i] is that
+    sum rounded to nearest.  Every sign is +1, -1 or 0.
+
+    The 2C signed values s r and s f of each row i are summed by
+    _two_sum_tree into (y, e, b'), so the exact combination is
+    x = y + e + d' + sum_c s_c d_c with |d'| <= b' + 2^-1075.  y is kept
+    when |y| >= 2^-900 and
+
+        fl(|e| + fl(fl(2 B) + h 2^-60)) < h,   B = fl(b' + fl(sum_c |s_c| b_c)),
+
+    with h half the smaller gap beside y, as in _row_sums.  Proof: for
+    |y| >= 2^-900, h >= 2^-954, so h 2^-60 >= 2^-1014 is exact and
+    normal.  B, a float sum of at most 9 non-negative terms, is at least
+    (1 - 8u) times their exact sum less 9 * 2^-1075, so the rounded
+    fl(2 B) + h 2^-60 exceeds b' + sum |s_c| b_c + (C + 1) 2^-1075 for
+    C <= 8.  As in _row_sums the test then gives
+    |x - y| <= |e| + b' + sum |s_c| b_c + (C + 1) 2^-1075 < h, so x lies
+    strictly inside the interval of reals that round to y.  The signs
+    are exact, the inputs stay below 2^1000 and 2C <= 16 of them below
+    2^1004, so no step overflows; a nan input (an unknown class sum)
+    certifies nothing.
+    """
+    top, rem, bound = _two_sum_tree(np.concatenate((signs * r[idx], signs * f[idx]), axis=1))
+    half = np.abs(top - np.nextafter(top, 0.0)) / 2
+    bound += (np.abs(signs) * b[idx]).sum(axis=1)
+    slack = 2.0 * bound + half * 2.0**-60
+    return top, (np.abs(top) >= 2.0**-900) & (np.abs(rem) + slack < half)
 
 
 def _box_points(a_prime, nrad: int) -> int:
@@ -502,6 +568,108 @@ def _summed_box(a_prime, nrad: int, fold: bool) -> np.ndarray:
     return two_m[len(two_m) // 2:] if fold else two_m
 
 
+@lru_cache(maxsize=None)
+def _hadamard(genus: int) -> np.ndarray:
+    """(-1)^popcount(x & c) for codes x, c in [0, 2^g): row x holds the
+    sign of each parity class c under the characteristics with a'' of
+    code x."""
+    codes = np.arange(2**genus)
+    bits = np.array([bin(v).count("1") for v in range(2**genus)])
+    return 1.0 - 2.0 * (bits[codes[:, None] & codes[None, :]] % 2)
+
+
+
+class _CosetPlan(NamedTuple):
+    """How _group_sums forms and returns the sums of one coset.
+
+    summed[i] lists the degrees coset[i] sums (all but those the fold
+    makes 0), ks those of any of them, and count is the number of rows
+    formed.  For each sum returned, in the order of the characteristics,
+    their summed degrees and _basis, sums holds (position in coset,
+    degree, row of _basis), rows its 2^g rows (counted from the coset's
+    first), signs their signs and turns its power of i."""
+
+    summed: list
+    ks: list
+    count: int
+    rows: np.ndarray
+    signs: np.ndarray
+    turns: np.ndarray
+    sums: list
+
+
+@lru_cache(maxsize=1024)
+def _coset_plan(coset: tuple, degrees: tuple, fold: bool, classed: bool) -> _CosetPlan:
+    """The _CosetPlan of a coset, classed or with rows per characteristic.
+
+    Classed, the weighted rows are those of the degrees ks, each split
+    into the 2^g parity classes, row (j, c) at j 2^g + c, and the sum of
+    a (a'' of code x) over weighted row j is
+    i^|a| sum_c (-1)^popcount(x & c) row (j, c).  Otherwise each
+    characteristic forms its own rows, its phase in its terms, in the
+    order of the sums: each sum is its one row, with signs (1, 0, ...)
+    and no turn."""
+    genus = coset[0].genus
+    summed = [[k for k in degrees if not (fold and (k + a.weight) % 2)] for a in coset]
+    ks = [k for k in degrees if any(k in s for s in summed)]
+    first = dict(zip(ks, itertools.accumulate([len(_basis(genus, k)[0]) for k in ks], initial=0)))
+    classes = np.arange(2**genus)
+    sums, rows, signs, turns = [], [], [], []
+    for pos, (a, degrees_of_a) in enumerate(zip(coset, summed)):
+        x = int("".join(map(str, a.a_double_prime)), 2)
+        for k in degrees_of_a:
+            for i in range(len(_basis(genus, k)[0])):
+                if classed:
+                    rows.append((first[k] + i) * 2**genus + classes)
+                    signs.append(_hadamard(genus)[x])
+                    turns.append(a.weight % 4)
+                else:
+                    rows.append(np.full(2**genus, len(sums)))
+                    signs.append(classes == 0)
+                    turns.append(0)
+                sums.append((pos, k, i))
+    count = sum(len(_basis(genus, k)[0]) for k in ks) << genus if classed else len(sums)
+    shape = (len(sums), 2**genus)
+    return _CosetPlan(summed, ks, count, np.array(rows, dtype=np.intp).reshape(shape),
+                      np.array(signs, dtype=np.float64).reshape(shape), np.array(turns, dtype=np.intp), sums)
+
+
+def _class_layout(two_m: np.ndarray, a_prime) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(order, classes, places, largest) for the doubled points two_m of
+    one a' coset: the order of the points by parity class c = n mod 2 (c
+    read as a binary number, n_1 its high bit), and, in that order, each
+    point's class, its place among the points of its class, and the size
+    of the largest class."""
+    classes = ((two_m - np.array(a_prime)) // 2 % 2) @ (1 << np.arange(len(a_prime))[::-1])
+    order = np.argsort(classes, kind="stable")
+    sizes = np.bincount(classes, minlength=2 ** len(a_prime))
+    places = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return order, classes[order], places, int(sizes.max())
+
+
+@lru_cache(maxsize=128)
+def _small_class_layout(a_prime: tuple, nrad: int, fold: bool):
+    """_class_layout of a summed box, kept for boxes of at most 1024 points."""
+    return _class_layout(_summed_box(a_prime, nrad, fold), a_prime)
+
+
+def _blocks(chunks, per_block: int):
+    """(block, size) for chunks of padded rows, each a float array
+    [2, rows, width] of real and imaginary parts: consecutive chunks are
+    joined while they hold at most per_block rows (a larger chunk stands
+    alone), and a block holds the real parts of its size rows, then their
+    imaginary parts."""
+    pending, size = [], 0
+    for chunk in itertools.chain(chunks, [None]):
+        if pending and (chunk is None or size + chunk.shape[1] > per_block):
+            block = pending[0] if len(pending) == 1 else np.concatenate(pending, axis=1)
+            yield block.reshape(2 * size, -1), size
+            pending, size = [], 0
+        if chunk is not None:
+            pending.append(chunk)
+            size += chunk.shape[1]
+
+
 def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
     """Yield (a, {k: sums}, value bound, radius) for the characteristics of
     a group of consecutive a' cosets, each given as (coset, radius,
@@ -510,14 +678,38 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
     _basis(g, k)[0].
 
     The lattices of the group are concatenated, so one _exp_terms serves
-    every coset; the phase of a'' is exact and applied per
-    characteristic, and the weight rows m_j ... m_p are formed per box,
-    since a group's would be a dozen rows of all its points.  Every term
-    and weight is formed by the same elementwise expression, from a
-    lattice in the same column-major layout, as for its box alone.  Each
-    weight is exact whatever the order of its product: the m are
-    half-integers with |m_j| <= _MAX_RADIUS, so every partial product of
-    up to four of them is K/16 with |K| <= 800^4 < 2^39.
+    every coset.  Every term and weight is formed by the same elementwise
+    expression, from a lattice in the same column-major layout, as for
+    its box alone.  Each weight is exact whatever the order of its
+    product: the m are half-integers with |m_j| <= _MAX_RADIUS, so every
+    partial product of up to four of them is K/16 with |K| <= 800^4 <
+    2^39.
+
+    Parity classes.  The phase of a'' is exact: for m = n + a'/2 it is
+    i^((2m).a'') = i^|a| (-1)^(n.a''), and (-1)^(n.a'') depends only on
+    the class c = n mod 2.  So with S_c the sum of w(m) term(m) over the
+    points of class c, the sum of a with weight w is
+    i^|a| sum_c (-1)^(c.a'') S_c, and a coset of several characteristics
+    forms each weighted row once, over its box ordered by class, where a
+    sum per characteristic forms it once for each.  The turns and signs
+    are exact, so every term of the sum of a is, up to its sign, the term
+    of a class sum, and the exact sums agree.  The rounded class sums do
+    not: adding them moves the last bit of about 40% of the sums.  So
+    each class sum is kept double-length: the class segments of the rows
+    are summed through the blocks by _two_sum_tree, which gives each S_c
+    as r + f within a bound, and _class_combination sums the signed r and
+    f of the classes and keeps the result where its bound proves it the
+    exactly rounded sum, which is fsum's.  Every other sum (a zero sum,
+    one below 2^-900, one from a block holding inf or nan, one whose last
+    bit the bound cannot settle) is summed again from its own row
+    w(m) term_a(m) by _row_sums.
+
+    A coset whose classes would form no fewer weighted rows than its
+    characteristics (a coset of one characteristic: every theta_jet) is
+    the one-class case: each characteristic's phase is applied to its
+    terms and its rows are its own.  In a group of such cosets _row_sums
+    returns the sums themselves; beside a classed coset, each row is one
+    class whose combination is itself.
 
     With fold (no z term) each box is folded over m <-> -m.  The box is
     symmetric (row i of _lattice_two_m is minus row n-1-i), the exponent
@@ -529,15 +721,20 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
     over the rows after it.  Doubling is exact, the exact sum is
     unchanged, and it is rounded exactly, so the folded sums have the
     bits of the full-box sums at half the exponentials and half the
-    summed terms.
+    summed terms.  The half box splits into the same classes, each
+    holding the origin once and its other points twice, so the class
+    identity holds for the folded sums as for the full ones.
 
-    The rows are formed one at a time, in the order of the cosets, their
-    characteristics, the degrees and _basis, and their real and
-    imaginary parts are written into one reused buffer of blocks of at
-    most _BLOCK_BYTES (at least one row) for _row_sums.  A block is as
-    wide as the group's longest box; a shorter row is padded with -0.0,
-    which adds nothing to any sum, the sign of a zero sum included.
+    The rows are formed a degree at a time, in the order of the cosets
+    (and of the characteristics of a one-class coset), the degrees and
+    _basis, and the real and imaginary parts of their class segments are
+    written into blocks of at most _BLOCK_BYTES (at least one weighted
+    row).  A block is as wide as the group's longest segment; a shorter
+    one is padded: a row of its own with -0.0, which adds nothing to any
+    sum, the sign of a zero sum included, and a class segment with the
+    zero term of a point that is not there (its zero sums fall back).
     """
+    genus = tau.genus
     spans, start = [], 0  # per coset: its rows of the group's lattice and its box points
     for *_, n in group:
         stop = start + (n - n // 2 if fold else n)
@@ -549,7 +746,7 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
         # filled box by box, so that one full box at a time is alive, and
         # column-major as _lattice_two_m lays out a box: the matrix
         # products of _exp_terms round by the layout of their operands
-        two_m = np.empty((start, tau.genus), dtype=np.int64, order="F")
+        two_m = np.empty((start, genus), dtype=np.int64, order="F")
         for (coset, nrad, *_), (s, e, _) in zip(group, spans):
             two_m[s:e] = _summed_box(coset[0].a_prime, nrad, fold)
     m = two_m.T.astype(np.float64, order="C") / 2.0  # one row per axis
@@ -558,54 +755,131 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
         multiplicity = np.full(len(two_m), 2.0)
         for s, _, n in spans:
             multiplicity[s] = 2.0 - n % 2  # the origin, when a' = 0
-    summed = {a: [k for k in degrees if not (fold and (k + a.weight) % 2)]
-              for coset, *_ in group for a in coset}
+
+    # per coset: how its sums are formed, and for a classed one its
+    # points by class, padded to the group's largest class with a zero term
+    plans, layouts = [], []
+    for (coset, nrad, *_), (s, e, n) in zip(group, spans):
+        plain = _coset_plan(tuple(coset), tuple(degrees), fold, False)
+        classed = _coset_plan(tuple(coset), tuple(degrees), fold, True)
+        if classed.count >> genus < plain.count:  # fewer weighted rows
+            plans.append(classed)
+            layouts.append(_small_class_layout(coset[0].a_prime, nrad, fold) if n <= 1024
+                           else _class_layout(two_m[s:e], coset[0].a_prime))
+        else:
+            plans.append(plain)
+            layouts.append(None)
+    width = max(e - s if layout is None else layout[3] for layout, (s, e, _) in zip(layouts, spans))
+    per_block = max(1, _BLOCK_BYTES // (16 * width))
+    where = [slice(s, e) for s, e, _ in spans]  # the points of each coset's rows
+    if any(layouts):
+        m, base = np.append(m, np.zeros((genus, 1)), axis=1), np.append(base, 0j)
+        if fold:
+            multiplicity = np.append(multiplicity, 0.0)
+        for index, (layout, (s, _, _)) in enumerate(zip(layouts, spans)):
+            if layout is not None:
+                order, classes, places, _ = layout
+                where[index] = np.full(width << genus, len(two_m))
+                where[index][classes * width + places] = s + order
+    phased = {}
+
+    def terms(index, pos):
+        """The terms of coset[pos] of coset index, with its phase."""
+        if (index, pos) not in phased:
+            s, e, _ = spans[index]
+            a = group[index][0][pos]
+            phased[index, pos] = base[s:e] * _phase_factors(two_m[s:e], a.a_double_prime)
+        return phased[index, pos]
+
+    def weighted(points, keys, t):
+        """The rows w(m) t(m) for the monomials keys, each w a product of
+        rows of points[0], the m of the points, and with the fold their
+        multiplicities points[1]."""
+        rows = points[0][keys].prod(axis=1) * t if keys.shape[1] else t[None]
+        return points[1] * rows if fold else rows
+
+    def box(points):
+        """The m and the multiplicities of points, for weighted."""
+        return m[:, points], multiplicity[points] if fold else None
+
+    def own_row(index, pos, k, j):
+        """The row of sum j of degree k of coset[pos] of coset index."""
+        keys = _basis(genus, k)[0][j:j + 1]
+        return weighted(box(slice(*spans[index][:2])), keys, terms(index, pos))
+
+    def whole(rows, width):
+        """The real and imaginary parts of rows, padded with -0.0 to width."""
+        if rows.shape[1] == width:
+            return np.stack((rows.real, rows.imag))
+        pad = np.full((2, len(rows), width), -0.0)
+        pad[0, :, :rows.shape[1]] = rows.real
+        pad[1, :, :rows.shape[1]] = rows.imag
+        return pad
 
     def rows():
-        for (coset, *_), (s, e, _) in zip(group, spans):
-            box_m = m[:, s:e]
-            weights = {k: [reduce(operator.mul, [box_m[j] for j in key])
-                           for key in _basis(tau.genus, k)[0]] for k in degrees if k}
-            box_two_m, box_base = two_m[s:e], base[s:e]
-            if fold:
-                box_multiplicity = multiplicity[s:e]
-            for a in coset:
-                t = box_base * _phase_factors(box_two_m, a.a_double_prime)
-                for k in summed[a]:
-                    for row in (w * t for w in weights[k]) if k else [t]:
-                        yield box_multiplicity * row if fold else row
+        for index, ((summed, ks, *_), layout) in enumerate(zip(plans, layouts)):
+            points = box(where[index])
+            if layout is None:
+                for pos, degrees_of_a in enumerate(summed):
+                    for k in degrees_of_a:
+                        keys = _basis(genus, k)[0]
+                        for i in range(0, len(keys), per_block):
+                            yield whole(weighted(points, keys[i:i + per_block], terms(index, pos)), width)
+                continue
+            step = max(1, per_block >> genus)
+            t = base[where[index]]
+            for k in ks:
+                keys = _basis(genus, k)[0]
+                for i in range(0, len(keys), step):
+                    split = weighted(points, keys[i:i + step], t)
+                    yield np.stack((split.real, split.imag)).reshape(2, -1, width)
 
-    # the real and imaginary parts of as many rows as fit in one block,
-    # written into one buffer as each row is formed
-    count = sum(len(_basis(tau.genus, k)[0]) for ks in summed.values() for k in ks)
-    width = max(e - s for s, e, _ in spans)
-    per_block = max(1, _BLOCK_BYTES // (16 * width))
-    buffer = np.empty((2 * min(per_block, count), width))
-    pending = rows()
-    flat = []
-    for start in range(0, count, per_block):
-        size = min(per_block, count - start)
-        block = buffer[:2 * size]
-        for i, row in zip(range(size), pending):
-            n = len(row)
-            if n == width:
-                block[i] = row.real
-                block[size + i] = row.imag
-            else:
-                block[i, :n] = row.real
-                block[size + i, :n] = row.imag
-                block[i, n:] = -0.0
-                block[size + i, n:] = -0.0
-        parts = _row_sums(block)
-        flat.extend(map(complex, parts[:size], parts[size:]))
+    def exact(chunks, per_block):
+        flat = []
+        for block, size in _blocks(chunks, per_block):
+            parts = _row_sums(block)
+            flat.extend(map(complex, parts[:size], parts[size:]))
+        return flat
 
-    sums = iter(flat)
-    for coset, nrad, bounds, _ in group:
-        for a in coset:
+    if not any(layouts):
+        values = exact(rows(), per_block)
+    else:
+        real, imag = [], []
+        for block, size in _blocks(rows(), per_block):
+            parts = np.array(_two_sum_tree(block)) if _in_range(block) else np.full((3, 2 * size), np.nan)
+            real.append(parts[:, :size])
+            imag.append(parts[:, size:])
+        r, f, b = np.concatenate(real + imag, axis=1)
+        offsets = itertools.accumulate((plan.count for plan in plans), initial=0)
+        index = np.concatenate([plan.rows + o for plan, o in zip(plans, offsets)])
+        signs = np.concatenate([plan.signs for plan in plans])
+        turns = np.concatenate([plan.turns for plan in plans])
+        x, certified = _class_combination(r, f, b, np.concatenate((index, index + len(r) // 2)),
+                                          np.concatenate((signs, signs)))
+        re, im = x[:len(index)], x[len(index):]
+        sums = np.empty(len(index), dtype=complex)
+        sums.real = np.choose(turns, [re, -im, -re, im])
+        sums.imag = np.choose(turns, [im, re, -im, -re])
+        values = sums.tolist()
+        # every sum the bound does not certify, from its own row
+        missed = np.flatnonzero(~(certified[:len(index)] & certified[len(index):])).tolist()
+        owners = [(index, *sum_) for index, plan in enumerate(plans) for sum_ in plan.sums]
+        longest = max(e - s for s, e, _ in spans)
+        redone = exact((whole(own_row(*owners[n]), longest) for n in missed),
+                       max(1, _BLOCK_BYTES // (16 * longest)))
+        for n, value in zip(missed, redone):
+            values[n] = value
+
+    start = 0
+    for (coset, nrad, bounds, _), (summed, *_) in zip(group, plans):
+        for a, degrees_of_a in zip(coset, summed):
             out = {}
             for k in degrees:
-                size = len(_basis(tau.genus, k)[0])
-                out[k] = [next(sums) for _ in range(size)] if k in summed[a] else [0j] * size
+                size = len(_basis(genus, k)[0])
+                if k in degrees_of_a:
+                    out[k], start = values[start:start + size], start + size
+                else:
+                    out[k] = [0j] * size
             yield a, out, bounds[0], nrad
 
 

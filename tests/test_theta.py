@@ -769,6 +769,109 @@ def test_grouping_and_padding_keep_every_bit(genus, lam, monkeypatch):
         assert 1 < len(passes[2]) < cosets and len(passes[3]) == 1
 
 
+# ----------------------------------------------------------------------
+# a coset summed once by parity class
+# ----------------------------------------------------------------------
+
+def _certified_counts(monkeypatch, refuse=False):
+    """Count the complex sums _class_combination combines (their real
+    parts, then their imaginary parts) and certifies, or make it certify
+    none."""
+    counts = {"sums": 0, "certified": 0}
+    combine = kernel._class_combination
+
+    def counted(*args):
+        x, certified = combine(*args)
+        if refuse:
+            certified = np.zeros_like(certified)
+        n = len(certified) // 2
+        counts["sums"] += n
+        counts["certified"] += int((certified[:n] & certified[n:]).sum())
+        return x, certified
+
+    monkeypatch.setattr(kernel, "_class_combination", counted)
+    return counts
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_every_sum_keeps_its_bits_when_no_class_combination_is_certified(genus, monkeypatch):
+    # every sum then comes from its own row, as without classes
+    counts = _certified_counts(monkeypatch, refuse=True)
+    pt = _random_point(genus, 110 + genus)
+    z = np.random.default_rng(genus).uniform(-0.3, 0.3, genus) + 0.1j
+    _assert_full_box_bits(pt, enumerate_characteristics(genus), (1, 2, 4), (None, np.zeros(genus), z))
+    assert counts["sums"] > 0 and counts["certified"] == 0
+
+
+def test_a_full_coset_at_a_shallow_genus3_point_forms_no_row_per_characteristic(monkeypatch):
+    # a row per characteristic is what the phase factors are for; a coset
+    # of all eight characteristics needs none, and every sum it returns
+    # is certified and has the full box's bits
+    pt = _random_point(3, 120)
+    z = np.random.default_rng(120).uniform(-0.3, 0.3, 3) + 0.1j
+    coset = [a for a in enumerate_characteristics(3) if a.a_prime == (0, 1, 1)]
+    counts = _certified_counts(monkeypatch)
+    phases = []
+    phase_factors = kernel._phase_factors
+    monkeypatch.setattr(kernel, "_phase_factors", lambda *args: phases.append(args) or phase_factors(*args))
+    moments = batch_moments(coset, pt, order=4)
+    values = theta_values(coset, z, pt)
+    assert phases == [] and counts["sums"] == counts["certified"] > 0
+    for a in coset:
+        mom = moments[a]
+        ref = _full_box_sums(a, None, pt, mom.radius, _monomials(3, 4))
+        t4 = [ref[tuple(sorted(key))] for key in itertools.product(range(3), repeat=4)]
+        assert _hex([mom.value, *mom.t1]) == _hex([ref[()]] + [ref[(j,)] for j in range(3)])
+        assert _hex(mom.t4) == _hex(t4)
+        nrad = truncation_radius(pt, z, 1e-14, 0, a).radius
+        assert _hex(values[a]) == _hex(_full_box_sums(a, z, pt, nrad, [()])[()])
+
+
+def test_a_deep_genus2_box_at_nonzero_z_sums_by_class_with_the_bits_of_fsum(monkeypatch):
+    # no fold, a radius near 30 and the TwoSum tree in every class block
+    counts = _certified_counts(monkeypatch)
+    pt = _random_point(2, 130)
+    pt = SiegelPoint(2, pt.tau.real + 1j * (0.02 / pt.lambda_min) * pt.tau.imag)
+    z = np.random.default_rng(130).uniform(-0.3, 0.3, 2) + 0.05j
+    chars = enumerate_characteristics(2)
+    values = theta_values(chars, z, pt)
+    for a in chars:
+        nrad = truncation_radius(pt, z, 1e-14, 0, a).radius
+        assert nrad > 20
+        assert _hex(values[a]) == _hex(_full_box_sums(a, z, pt, nrad, [()])[()])
+    assert counts["sums"] == len(chars) and counts["certified"] > 0
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_exact_zero_sums_fall_back_and_keep_the_sign_fsum_gives(genus, monkeypatch):
+    # with Re tau = 0 and z real the terms of m and -m are conjugate, so
+    # one part of every sum is an exact zero, which a signed sum of
+    # classes could round to -0.0; every such sum comes from its own row
+    counts = _certified_counts(monkeypatch)
+    pt = _random_point(genus, 140 + genus)
+    pt = SiegelPoint(genus, 1j * pt.tau.imag)
+    _assert_full_box_bits(pt, enumerate_characteristics(genus), (1, 2, 4),
+                          (None, np.zeros(genus), np.full(genus, 0.1)))
+    assert counts["sums"] > 0 and counts["certified"] == 0
+
+
+def test_class_combination_refuses_a_sum_its_class_bounds_leave_open():
+    # classes 1 and 2^-55: their sum lies a quarter of a gap above 1.0
+    # and rounds to it, unless the second class sum may be off by 2^-55,
+    # which reaches the tie at 1 + 2^-54
+    r = np.array([1.0, 2.0**-55])
+    f = np.zeros(2)
+    idx, signs = np.array([[0, 1]]), np.ones((1, 2))
+    x, certified = kernel._class_combination(r, f, np.zeros(2), idx, signs)
+    assert x.tolist() == [1.0] and certified.tolist() == [True]
+    x, certified = kernel._class_combination(r, f, np.array([0.0, 2.0**-55]), idx, signs)
+    assert certified.tolist() == [False]
+    # a nan (a class sum left unknown) and a zero certify nothing
+    x, certified = kernel._class_combination(np.array([np.nan, 1.0, 0.0]), np.zeros(3), np.zeros(3),
+                                             np.array([[0, 1], [2, 2]]), np.array([[1.0, 1.0], [1.0, -1.0]]))
+    assert certified.tolist() == [False, False]
+
+
 def test_refused_last_coset_builds_no_lattice(monkeypatch):
     # at Im tau = 0.0101 I the cosets a' = 0 and a' = (0, 0, 1) certify at
     # radius 50, boxes of about 101^3 points under the 2^20 budget, each
