@@ -589,13 +589,13 @@ class _CosetPlan(NamedTuple):
     degree, row of _basis), rows its 2^g rows (counted from the coset's
     first), signs their signs and turns its power of i."""
 
-    summed: list
-    ks: list
+    summed: tuple
+    ks: tuple
     count: int
     rows: np.ndarray
     signs: np.ndarray
     turns: np.ndarray
-    sums: list
+    sums: tuple
 
 
 @lru_cache(maxsize=1024)
@@ -630,8 +630,10 @@ def _coset_plan(coset: tuple, degrees: tuple, fold: bool, classed: bool) -> _Cos
                 sums.append((pos, k, i))
     count = sum(len(_basis(genus, k)[0]) for k in ks) << genus if classed else len(sums)
     shape = (len(sums), 2**genus)
-    return _CosetPlan(summed, ks, count, np.array(rows, dtype=np.intp).reshape(shape),
-                      np.array(signs, dtype=np.float64).reshape(shape), np.array(turns, dtype=np.intp), sums)
+    return _CosetPlan(tuple(map(tuple, summed)), tuple(ks), count,
+                      _frozen(np.array(rows, dtype=np.intp).reshape(shape)),
+                      _frozen(np.array(signs, dtype=np.float64).reshape(shape)),
+                      _frozen(np.array(turns, dtype=np.intp)), tuple(sums))
 
 
 def _class_layout(two_m: np.ndarray, a_prime) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -649,25 +651,50 @@ def _class_layout(two_m: np.ndarray, a_prime) -> tuple[np.ndarray, np.ndarray, n
 
 @lru_cache(maxsize=128)
 def _small_class_layout(a_prime: tuple, nrad: int, fold: bool):
-    """_class_layout of a summed box, kept for boxes of at most 1024 points."""
-    return _class_layout(_summed_box(a_prime, nrad, fold), a_prime)
+    """_class_layout of a summed box, read-only, kept for boxes of at most
+    1024 points."""
+    order, classes, places, largest = _class_layout(_summed_box(a_prime, nrad, fold), a_prime)
+    return _frozen(order), _frozen(classes), _frozen(places), largest
 
 
-def _blocks(chunks, per_block: int):
-    """(block, size) for chunks of padded rows, each a float array
-    [2, rows, width] of real and imaginary parts: consecutive chunks are
-    joined while they hold at most per_block rows (a larger chunk stands
-    alone), and a block holds the real parts of its size rows, then their
-    imaginary parts."""
-    pending, size = [], 0
-    for chunk in itertools.chain(chunks, [None]):
-        if pending and (chunk is None or size + chunk.shape[1] > per_block):
-            block = pending[0] if len(pending) == 1 else np.concatenate(pending, axis=1)
-            yield block.reshape(2 * size, -1), size
-            pending, size = [], 0
-        if chunk is not None:
-            pending.append(chunk)
-            size += chunk.shape[1]
+def _block_sums(chunks, count: int, width: int, parts: bool):
+    """The sums of count complex rows, given as chunks [rows, n] with
+    n <= width: their real and imaginary parts are written into one
+    reused buffer of blocks of at most _BLOCK_BYTES (at least one row),
+    a block holding the real parts of its rows, then their imaginary
+    parts, each padded with -0.0 to width.  Returned are the exactly
+    rounded complex sums by _row_sums or, with parts, the real parts' and
+    then the imaginary parts' (r, f, b) by _two_sum_tree, nan for a block
+    it cannot take (not _in_range)."""
+    per_block = max(1, _BLOCK_BYTES // (16 * width))
+    buffer = np.empty((2 * min(per_block, count), width))
+    sums, real, imag = [], [], []
+    start, size, filled = 0, min(per_block, count), 0
+    for rows in chunks:
+        done = 0
+        while done < len(rows):
+            take = min(len(rows) - done, size - filled)
+            part, n = rows[done:done + take], rows.shape[1]
+            block = buffer[:2 * size]
+            block[filled:filled + take, :n] = part.real
+            block[size + filled:size + filled + take, :n] = part.imag
+            if n < width:
+                block[filled:filled + take, n:] = -0.0
+                block[size + filled:size + filled + take, n:] = -0.0
+            done += take
+            filled += take
+            if filled < size:
+                continue
+            if not parts:
+                flat = _row_sums(block)
+                sums.extend(map(complex, flat[:size], flat[size:]))
+            else:
+                tree = np.array(_two_sum_tree(block)) if _in_range(block) else np.full((3, 2 * size), np.nan)
+                real.append(tree[:, :size])
+                imag.append(tree[:, size:])
+            start += size
+            size, filled = min(per_block, count - start), 0
+    return np.concatenate(real + imag, axis=1) if parts else sums
 
 
 def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
@@ -791,70 +818,47 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
             phased[index, pos] = base[s:e] * _phase_factors(two_m[s:e], a.a_double_prime)
         return phased[index, pos]
 
-    def weighted(points, keys, t):
-        """The rows w(m) t(m) for the monomials keys, each w a product of
-        rows of points[0], the m of the points, and with the fold their
-        multiplicities points[1]."""
-        rows = points[0][keys].prod(axis=1) * t if keys.shape[1] else t[None]
-        return points[1] * rows if fold else rows
+    def weights(points, k):
+        """The weights m_j ... m_p over points of the monomials of degree
+        k > 0, one row each."""
+        box_m = m[:, points]
+        return box_m if k == 1 else box_m[_basis(genus, k)[0]].prod(axis=1)
 
-    def box(points):
-        """The m and the multiplicities of points, for weighted."""
-        return m[:, points], multiplicity[points] if fold else None
-
-    def own_row(index, pos, k, j):
-        """The row of sum j of degree k of coset[pos] of coset index."""
-        keys = _basis(genus, k)[0][j:j + 1]
-        return weighted(box(slice(*spans[index][:2])), keys, terms(index, pos))
-
-    def whole(rows, width):
-        """The real and imaginary parts of rows, padded with -0.0 to width."""
-        if rows.shape[1] == width:
-            return np.stack((rows.real, rows.imag))
-        pad = np.full((2, len(rows), width), -0.0)
-        pad[0, :, :rows.shape[1]] = rows.real
-        pad[1, :, :rows.shape[1]] = rows.imag
-        return pad
+    def weighted(points, k, t, select=slice(None), step=1):
+        """The rows w(m) t(m) over points for the monomials of degree k
+        (select of them; t itself for k = 0), step rows at a time, with
+        the multiplicities of the fold."""
+        if k:
+            w = weights(points, k)[select]
+            chunks = (w[i:i + step] * t for i in range(0, len(w), step))
+        else:
+            chunks = [t[None]]
+        mult = multiplicity[points] if fold else None
+        for rows in chunks:
+            yield mult * rows if fold else rows
 
     def rows():
-        for index, ((summed, ks, *_), layout) in enumerate(zip(plans, layouts)):
-            points = box(where[index])
+        for index, (plan, layout) in enumerate(zip(plans, layouts)):
+            points = where[index]
             if layout is None:
-                for pos, degrees_of_a in enumerate(summed):
+                for pos, degrees_of_a in enumerate(plan.summed):
                     for k in degrees_of_a:
-                        keys = _basis(genus, k)[0]
-                        for i in range(0, len(keys), per_block):
-                            yield whole(weighted(points, keys[i:i + per_block], terms(index, pos)), width)
+                        yield from weighted(points, k, terms(index, pos), step=per_block)
                 continue
-            step = max(1, per_block >> genus)
-            t = base[where[index]]
-            for k in ks:
-                keys = _basis(genus, k)[0]
-                for i in range(0, len(keys), step):
-                    split = weighted(points, keys[i:i + step], t)
-                    yield np.stack((split.real, split.imag)).reshape(2, -1, width)
+            for k in plan.ks:
+                for split in weighted(points, k, base[points], step=max(1, per_block >> genus)):
+                    yield split.reshape(-1, width)
 
-    def exact(chunks, per_block):
-        flat = []
-        for block, size in _blocks(chunks, per_block):
-            parts = _row_sums(block)
-            flat.extend(map(complex, parts[:size], parts[size:]))
-        return flat
-
+    count = sum(plan.count for plan in plans)
     if not any(layouts):
-        values = exact(rows(), per_block)
+        values = _block_sums(rows(), count, width, parts=False)
     else:
-        real, imag = [], []
-        for block, size in _blocks(rows(), per_block):
-            parts = np.array(_two_sum_tree(block)) if _in_range(block) else np.full((3, 2 * size), np.nan)
-            real.append(parts[:, :size])
-            imag.append(parts[:, size:])
-        r, f, b = np.concatenate(real + imag, axis=1)
+        r, f, b = _block_sums(rows(), count, width, parts=True)
         offsets = itertools.accumulate((plan.count for plan in plans), initial=0)
         index = np.concatenate([plan.rows + o for plan, o in zip(plans, offsets)])
         signs = np.concatenate([plan.signs for plan in plans])
         turns = np.concatenate([plan.turns for plan in plans])
-        x, certified = _class_combination(r, f, b, np.concatenate((index, index + len(r) // 2)),
+        x, certified = _class_combination(r, f, b, np.concatenate((index, index + count)),
                                           np.concatenate((signs, signs)))
         re, im = x[:len(index)], x[len(index):]
         sums = np.empty(len(index), dtype=complex)
@@ -864,9 +868,11 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
         # every sum the bound does not certify, from its own row
         missed = np.flatnonzero(~(certified[:len(index)] & certified[len(index):])).tolist()
         owners = [(index, *sum_) for index, plan in enumerate(plans) for sum_ in plan.sums]
-        longest = max(e - s for s, e, _ in spans)
-        redone = exact((whole(own_row(*owners[n]), longest) for n in missed),
-                       max(1, _BLOCK_BYTES // (16 * longest)))
+        own_rows = []
+        for n in missed:
+            index, pos, k, j = owners[n]
+            own_rows.extend(weighted(slice(*spans[index][:2]), k, terms(index, pos), slice(j, j + 1)))
+        redone = _block_sums(own_rows, len(missed), max(e - s for s, e, _ in spans), parts=False)
         for n, value in zip(missed, redone):
             values[n] = value
 
