@@ -472,6 +472,12 @@ def _two_sum_tree(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return r, f, (4.0 * (n - 1) * _U) * mag
 
 
+@lru_cache(maxsize=None)
+def _monomials(genus: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of _basis(genus, degree)[0] as tuples."""
+    return tuple(map(tuple, _basis(genus, degree)[0].tolist()))
+
+
 def _row_sums(block: np.ndarray) -> list[float]:
     """[math.fsum(row) for row in block], bit for bit, for a C-contiguous
     2-D float64 block, from _two_sum_tree.
@@ -670,12 +676,12 @@ def _block_sums(chunks, count: int, width: int, parts: bool):
     buffer = np.empty((2 * min(per_block, count), width))
     sums, real, imag = [], [], []
     start, size, filled = 0, min(per_block, count), 0
+    block = buffer[:2 * size]
     for rows in chunks:
-        done = 0
+        done, n = 0, rows.shape[1]
         while done < len(rows):
             take = min(len(rows) - done, size - filled)
-            part, n = rows[done:done + take], rows.shape[1]
-            block = buffer[:2 * size]
+            part = rows if take == len(rows) else rows[done:done + take]
             block[filled:filled + take, :n] = part.real
             block[size + filled:size + filled + take, :n] = part.imag
             if n < width:
@@ -694,6 +700,7 @@ def _block_sums(chunks, count: int, width: int, parts: bool):
                 imag.append(tree[:, size:])
             start += size
             size, filled = min(per_block, count - start), 0
+            block = buffer[:2 * size]
     return np.concatenate(real + imag, axis=1) if parts else sums
 
 
@@ -788,8 +795,8 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
     plans, layouts = [], []
     for (coset, nrad, *_), (s, e, n) in zip(group, spans):
         plain = _coset_plan(tuple(coset), tuple(degrees), fold, False)
-        classed = _coset_plan(tuple(coset), tuple(degrees), fold, True)
-        if classed.count >> genus < plain.count:  # fewer weighted rows
+        classed = len(coset) > 1 and _coset_plan(tuple(coset), tuple(degrees), fold, True)
+        if classed and classed.count >> genus < plain.count:  # fewer weighted rows
             plans.append(classed)
             layouts.append(_small_class_layout(coset[0].a_prime, nrad, fold) if n <= 1024
                            else _class_layout(two_m[s:e], coset[0].a_prime))
@@ -820,9 +827,14 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
 
     def weights(points, k):
         """The weights m_j ... m_p over points of the monomials of degree
-        k > 0, one row each."""
-        box_m = m[:, points]
-        return box_m if k == 1 else box_m[_basis(genus, k)[0]].prod(axis=1)
+        k > 0, one array each (for k = 1 the rows of m themselves)."""
+        box_m, out = m[:, points], []
+        for j, *rest in _monomials(genus, k):
+            w = box_m[j]
+            for p in rest:
+                w = w * box_m[p]
+            out.append(w)
+        return out
 
     def weighted(points, k, t, select=slice(None), step=1):
         """The rows w(m) t(m) over points for the monomials of degree k
@@ -830,7 +842,8 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
         the multiplicities of the fold."""
         if k:
             w = weights(points, k)[select]
-            chunks = (w[i:i + step] * t for i in range(0, len(w), step))
+            chunks = ((w[i][None] if step == 1 else np.stack(w[i:i + step])) * t
+                      for i in range(0, len(w), step))
         else:
             chunks = [t[None]]
         mult = multiplicity[points] if fold else None
@@ -843,7 +856,7 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
             if layout is None:
                 for pos, degrees_of_a in enumerate(plan.summed):
                     for k in degrees_of_a:
-                        yield from weighted(points, k, terms(index, pos), step=per_block)
+                        yield from weighted(points, k, terms(index, pos))
                 continue
             for k in plan.ks:
                 for split in weighted(points, k, base[points], step=max(1, per_block >> genus)):
@@ -867,14 +880,15 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
         values = sums.tolist()
         # every sum the bound does not certify, from its own row
         missed = np.flatnonzero(~(certified[:len(index)] & certified[len(index):])).tolist()
-        owners = [(index, *sum_) for index, plan in enumerate(plans) for sum_ in plan.sums]
-        own_rows = []
-        for n in missed:
-            index, pos, k, j = owners[n]
-            own_rows.extend(weighted(slice(*spans[index][:2]), k, terms(index, pos), slice(j, j + 1)))
-        redone = _block_sums(own_rows, len(missed), max(e - s for s, e, _ in spans), parts=False)
-        for n, value in zip(missed, redone):
-            values[n] = value
+        if missed:
+            owners = [(i, *sum_) for i, plan in enumerate(plans) for sum_ in plan.sums]
+            own_rows = []
+            for n in missed:
+                i, pos, k, j = owners[n]
+                own_rows.extend(weighted(slice(*spans[i][:2]), k, terms(i, pos), slice(j, j + 1)))
+            redone = _block_sums(own_rows, len(missed), max(e - s for s, e, _ in spans), parts=False)
+            for n, value in zip(missed, redone):
+                values[n] = value
 
     start = 0
     for (coset, nrad, bounds, _), (summed, *_) in zip(group, plans):
