@@ -581,8 +581,7 @@ def _hadamard(genus: int) -> np.ndarray:
     code x."""
     codes = np.arange(2**genus)
     bits = np.array([bin(v).count("1") for v in range(2**genus)])
-    return 1.0 - 2.0 * (bits[codes[:, None] & codes[None, :]] % 2)
-
+    return _frozen(1.0 - 2.0 * (bits[codes[:, None] & codes[None, :]] % 2))
 
 
 class _CosetPlan(NamedTuple):
@@ -1043,7 +1042,7 @@ def _sums(chars, z, tau: SiegelPoint, eps_by_weight: dict, degrees):
     holding at most _GROUP_POINTS summed points between them; a coset
     above that is a group of its own.  Shallow cosets, where numpy and
     Python call overhead rather than arithmetic sets the cost, share one
-    lattice, one _exp_terms and one _row_sums per block.  The cap keeps
+    lattice, one _exp_terms and one block buffer.  The cap keeps
     a deep box alone, so its lattice and exponentials are never held
     beside another's: without it, the rounds of a genus-2 campaign
     (whose transformation check sums deep boxes) peaked at 45.2 MiB
