@@ -842,6 +842,19 @@ def test_a_deep_genus2_box_at_nonzero_z_sums_by_class_with_the_bits_of_fsum(monk
     assert counts["sums"] == len(chars) and counts["certified"] > 0
 
 
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_a_group_of_classed_and_one_class_cosets_keeps_every_bit(genus):
+    # one characteristic of the first coset, all of the second, two of
+    # the last: one group sums classes beside rows of their own
+    chars = enumerate_characteristics(genus)
+    mixed = [chars[1]] + chars[2**genus:2 * 2**genus] + chars[-2:]
+    pt = _random_point(genus, 150 + genus)
+    z = np.random.default_rng(genus).uniform(-0.3, 0.3, genus) + 0.1j
+    for zz, order in ((None, 4), (np.zeros(genus), 0), (z, 0)):
+        assert _call_hex(mixed, zz, pt, order) == {a: _call_hex([a], zz, pt, order)[a] for a in mixed}
+    _assert_full_box_bits(pt, mixed, (1, 2, 4), (None, z))
+
+
 @pytest.mark.parametrize("genus", [2, 3])
 def test_exact_zero_sums_fall_back_and_keep_the_sign_fsum_gives(genus, monkeypatch):
     # with Re tau = 0 and z real the terms of m and -m are conjugate, so
