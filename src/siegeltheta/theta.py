@@ -758,14 +758,15 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
     holding the origin once and its other points twice, so the class
     identity holds for the folded sums as for the full ones.
 
-    The rows are formed a degree at a time, in the order of the cosets
-    (and of the characteristics of a one-class coset), the degrees and
-    _basis, and the real and imaginary parts of their class segments are
-    written into blocks of at most _BLOCK_BYTES (at least one weighted
-    row).  A block is as wide as the group's longest segment; a shorter
-    one is padded: a row of its own with -0.0, which adds nothing to any
-    sum, the sign of a zero sum included, and a class segment with the
-    zero term of a point that is not there (its zero sums fall back).
+    The rows are formed in the order of the cosets (and of the
+    characteristics of a one-class coset), the degrees and _basis: a
+    characteristic's own rows one at a time, as many class rows at once
+    as fill a block.  _block_sums writes their real and imaginary parts
+    into blocks of at most _BLOCK_BYTES (at least one row), as wide as
+    the group's longest row or class segment.  A shorter row of its own
+    is padded with -0.0, which adds nothing to any sum, the sign of a
+    zero sum included; a class segment is padded with the zero term of a
+    point that is not there (its zero sums fall back).
     """
     genus = tau.genus
     spans, start = [], 0  # per coset: its rows of the group's lattice and its box points
