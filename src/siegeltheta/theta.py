@@ -735,7 +735,8 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
     exactly rounded sum, which is fsum's.  Every other sum (a zero sum,
     one below 2^-900, one from a block holding inf or nan, one whose last
     bit the bound cannot settle) is summed again from its own row
-    w(m) term_a(m) by _row_sums.
+    w(m) term_a(m) by _row_sums, the rows formed one at a time as the
+    blocks take them.
 
     A coset whose classes would form no fewer weighted rows than its
     characteristics (a coset of one characteristic: every theta_jet) is
@@ -815,33 +816,35 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
                 order, classes, places, _ = layout
                 where[index] = np.full(width << genus, len(two_m))
                 where[index][classes * width + places] = s + order
-    phased = {}
+    phased = {}  # the terms of the one characteristic whose rows are formed
 
     def terms(index, pos):
         """The terms of coset[pos] of coset index, with its phase."""
         if (index, pos) not in phased:
+            phased.clear()
             s, e, _ = spans[index]
             a = group[index][0][pos]
             phased[index, pos] = base[s:e] * _phase_factors(two_m[s:e], a.a_double_prime)
         return phased[index, pos]
 
-    def weights(points, k):
-        """The weights m_j ... m_p over points of the monomials of degree
-        k > 0, one array each (for k = 1 the rows of m themselves)."""
+    def weights(points, monomials):
+        """The weights m_j ... m_p over points of monomials, one array each
+        (for degree 1 the rows of m themselves)."""
         box_m, out = m[:, points], []
-        for j, *rest in _monomials(genus, k):
+        for j, *rest in monomials:
             w = box_m[j]
             for p in rest:
                 w = w * box_m[p]
             out.append(w)
         return out
 
-    def weighted(points, k, t, select=slice(None), step=1):
+    def weighted(points, k, t, only=None, step=1):
         """The rows w(m) t(m) over points for the monomials of degree k
-        (select of them; t itself for k = 0), step rows at a time, with
-        the multiplicities of the fold."""
+        (the one numbered only, if given; t itself for k = 0), step rows
+        at a time, with the multiplicities of the fold."""
         if k:
-            w = weights(points, k)[select]
+            monomials = _monomials(genus, k)
+            w = weights(points, monomials if only is None else monomials[only:only + 1])
             chunks = ((w[i][None] if step == 1 else np.stack(w[i:i + step])) * t
                       for i in range(0, len(w), step))
         else:
@@ -881,11 +884,10 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
         # every sum the bound does not certify, from its own row
         missed = np.flatnonzero(~(certified[:len(index)] & certified[len(index):])).tolist()
         if missed:
+            # formed one at a time, in the order of the sums, as they are summed
             owners = [(i, *sum_) for i, plan in enumerate(plans) for sum_ in plan.sums]
-            own_rows = []
-            for n in missed:
-                i, pos, k, j = owners[n]
-                own_rows.extend(weighted(slice(*spans[i][:2]), k, terms(i, pos), slice(j, j + 1)))
+            own_rows = (row for i, pos, k, j in map(owners.__getitem__, missed)
+                        for row in weighted(slice(*spans[i][:2]), k, terms(i, pos), only=j))
             redone = _block_sums(own_rows, len(missed), max(e - s for s, e, _ in spans), parts=False)
             for n, value in zip(missed, redone):
                 values[n] = value

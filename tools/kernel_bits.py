@@ -1,6 +1,6 @@
 """Write a seeded float.hex dump of the lattice kernel's outputs.
 
-    python tools/kernel_bits.py [--root CHECKOUT] [--seed N] [--out FILE]
+    python tools/kernel_bits.py [--root CHECKOUT] [--seed N] > dump.txt
 
 Two checkouts that give the same dump for a seed have the same kernel
 output bits at those points, so a change meant to keep every bit is
@@ -93,13 +93,8 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout whose src/siegeltheta is dumped")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", type=Path, help="write here instead of standard output")
     args = parser.parse_args(argv)
-    lines = "\n".join(dump(args.root.resolve(), args.seed)) + "\n"
-    if args.out is None:
-        sys.stdout.write(lines)
-    else:
-        args.out.write_text(lines)
+    sys.stdout.write("\n".join(dump(args.root.resolve(), args.seed)) + "\n")
     return 0
 
 

@@ -33,6 +33,13 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+DESCRIPTION = (
+    "perfbench pairs, parent commit against this change, one run at a time, alternating "
+    "which side runs first (\"first\" per pair); each run is `python3 perfbench/run.py "
+    "--workload <w> --seed <s> --seconds <n> --trace 0` from the root of a fresh checkout "
+    "of that side. Quartiles are inclusive (numpy's default percentiles); \"within_bound\" "
+    "says whether the change's median is no worse than the parent's by more than the "
+    "BENCHMARK.json bound.")
 
 
 def _records(path: Path) -> list[Path]:
@@ -109,21 +116,13 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--parent-commit", required=True)
     parser.add_argument("--change-commit", required=True)
-    parser.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json")
-    parser.add_argument("--description", default=(
-        "perfbench pairs, parent commit against this change, one run at a time, alternating "
-        "which side runs first (\"first\" per pair); each run is `python3 perfbench/run.py "
-        "--workload <w> --seed <s> --seconds <n> --trace 0` from the root of a fresh checkout "
-        "of that side. Quartiles are inclusive (numpy's default percentiles); \"within_bound\" "
-        "says whether the change's median is no worse than the parent's by more than the "
-        "BENCHMARK.json bound."))
     parser.add_argument("--machine", default=f"Python {platform.python_version()}, numpy {np.__version__}")
     parser.add_argument("--note", action="append", default=[], metavar="KEY=TEXT",
                         help="a line of the notes block (repeatable)")
     args = parser.parse_args(argv)
-    spec = json.loads(args.benchmark.read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     summary = {
-        "description": args.description,
+        "description": DESCRIPTION,
         "machine": args.machine,
         "commits": {"parent": args.parent_commit, "change": args.change_commit},
         **summarise(load_runs(args.runs), spec["end_to_end"]),
