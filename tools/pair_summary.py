@@ -19,13 +19,16 @@ correct, and per end-to-end metric of BENCHMARK.json the medians and
 inclusive quartiles (numpy's default percentiles) of both sides, the
 wins (the side whose value is better in a pair; a tie counts for
 neither), the ratio of the medians and whether the change's median is
-within the metric's bound.
+within the metric's bound.  The machine it names (CPU count, Python and
+numpy versions) is the one the script runs on, so run it where the runs
+were made.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 from pathlib import Path
 
@@ -116,14 +119,13 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--parent-commit", required=True)
     parser.add_argument("--change-commit", required=True)
-    parser.add_argument("--machine", default=f"Python {platform.python_version()}, numpy {np.__version__}")
     parser.add_argument("--note", action="append", default=[], metavar="KEY=TEXT",
                         help="a line of the notes block (repeatable)")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     summary = {
         "description": DESCRIPTION,
-        "machine": args.machine,
+        "machine": f"{os.cpu_count()} CPUs, Python {platform.python_version()}, numpy {np.__version__}",
         "commits": {"parent": args.parent_commit, "change": args.change_commit},
         **summarise(load_runs(args.runs), spec["end_to_end"]),
     }
