@@ -278,7 +278,10 @@ def _cmd_halphen(args) -> int:
         }
         _emit(out, args)
         return 0
-    # residual checks over seeded genus-1 samples
+    # residual checks over seeded genus-1 samples; a check over no sample
+    # would pass without checking anything
+    if args.samples <= 0:
+        raise ValueError("samples must be positive")
     plan = SamplePlan(seed=args.seed, count=args.samples)
     worst = 0.0
     for tau in plan.tau_points(1):

@@ -97,6 +97,9 @@ class SiegelPoint:
     def from_json(obj: dict | str) -> "SiegelPoint":
         if isinstance(obj, str):
             obj = json.loads(obj)
+        for key in ("genus", "tau"):
+            if key not in obj:
+                raise ValueError(f"a Siegel point needs the field {key!r}")
         g = int(obj["genus"])
         m = np.array(
             [[complex(re, im) for re, im in row] for row in obj["tau"]], dtype=complex

@@ -60,9 +60,11 @@ class c.  The rows are formed over the box ordered by class and summed
 class by class, each S_c kept double-length as the tree's (r, f), and
 _class_combination sums the signed (r, f) of each characteristic,
 keeping the result where its bound proves it to be the exactly rounded
-sum.  Any other sum (a zero, a last bit too close to call) is summed
-again from its own row, as a coset of one characteristic always is, so
-every bit is as the rows per characteristic give it.
+sum.  Every other sum is summed from its own row, in one stream: those
+of a coset whose classes would form no fewer rows (a coset of one
+characteristic, as in every theta_jet), and those the bound leaves open
+(a zero, a last bit too close to call).  So every bit is as the rows
+per characteristic give it.
 
 Without a z term the sum is folded over m <-> -m: the box is symmetric,
 and for a monomial of degree k the weighted term of -m is
@@ -87,6 +89,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 from math import fsum
 
@@ -585,60 +588,50 @@ def _hadamard(genus: int) -> np.ndarray:
 
 
 class _CosetPlan(NamedTuple):
-    """How _group_sums forms and returns the sums of one coset.
+    """How _group_sums sums a coset by parity class.
 
-    summed[i] lists the degrees coset[i] sums (all but those the fold
-    makes 0), ks those of any of them, and count is the number of rows
-    formed.  For each sum returned, in the order of the characteristics,
-    their summed degrees and _basis, sums holds (position in coset,
-    degree, row of _basis), rows its 2^g rows (counted from the coset's
-    first), signs their signs and turns its power of i."""
+    ks lists the degrees any characteristic of the coset sums and count
+    the number of class rows formed: weighted row j of the degrees ks
+    over the points of class c is row j 2^g + c.  For each sum of
+    _coset_sums, in its order, rows holds its 2^g class rows, signs their
+    signs and turns its power of i."""
 
-    summed: tuple
     ks: tuple
     count: int
     rows: np.ndarray
     signs: np.ndarray
     turns: np.ndarray
-    sums: tuple
 
 
 @lru_cache(maxsize=1024)
-def _coset_plan(coset: tuple, degrees: tuple, fold: bool, classed: bool) -> _CosetPlan:
-    """The _CosetPlan of a coset, classed or with rows per characteristic.
-
-    Classed, the weighted rows are those of the degrees ks, each split
-    into the 2^g parity classes, row (j, c) at j 2^g + c, and the sum of
-    a (a'' of code x) over weighted row j is
-    i^|a| sum_c (-1)^popcount(x & c) row (j, c).  Otherwise each
-    characteristic forms its own rows, its phase in its terms, in the
-    order of the sums: each sum is its one row, with signs (1, 0, ...)
-    and no turn."""
+def _coset_sums(coset: tuple, degrees: tuple, fold: bool) -> tuple[tuple, tuple]:
+    """(summed, sums) of a coset: per characteristic the degrees it sums,
+    all but those the fold makes 0, and every sum returned, in output
+    order, as (position in coset, degree, row of _basis)."""
     genus = coset[0].genus
-    summed = [[k for k in degrees if not (fold and (k + a.weight) % 2)] for a in coset]
-    ks = [k for k in degrees if any(k in s for s in summed)]
-    first = dict(zip(ks, itertools.accumulate([len(_basis(genus, k)[0]) for k in ks], initial=0)))
-    classes = np.arange(2**genus)
-    sums, rows, signs, turns = [], [], [], []
-    for pos, (a, degrees_of_a) in enumerate(zip(coset, summed)):
-        x = int("".join(map(str, a.a_double_prime)), 2)
-        for k in degrees_of_a:
-            for i in range(len(_basis(genus, k)[0])):
-                if classed:
-                    rows.append((first[k] + i) * 2**genus + classes)
-                    signs.append(_hadamard(genus)[x])
-                    turns.append(a.weight % 4)
-                else:
-                    rows.append(np.full(2**genus, len(sums)))
-                    signs.append(classes == 0)
-                    turns.append(0)
-                sums.append((pos, k, i))
-    count = sum(len(_basis(genus, k)[0]) for k in ks) << genus if classed else len(sums)
-    shape = (len(sums), 2**genus)
-    return _CosetPlan(tuple(map(tuple, summed)), tuple(ks), count,
-                      _frozen(np.array(rows, dtype=np.intp).reshape(shape)),
-                      _frozen(np.array(signs, dtype=np.float64).reshape(shape)),
-                      _frozen(np.array(turns, dtype=np.intp)), tuple(sums))
+    summed = tuple(tuple(k for k in degrees if not (fold and (k + a.weight) % 2)) for a in coset)
+    sums = tuple((pos, k, j) for pos, ks in enumerate(summed) for k in ks
+                 for j in range(len(_basis(genus, k)[0])))
+    return summed, sums
+
+
+@lru_cache(maxsize=1024)
+def _coset_plan(coset: tuple, degrees: tuple, fold: bool) -> _CosetPlan | None:
+    """The _CosetPlan of a coset whose classes form fewer weighted rows
+    than its characteristics would form of their own, else None (a coset
+    of one characteristic always).  The sum of a (a'' of code x) over
+    weighted row j is i^|a| sum_c (-1)^popcount(x & c) row (j, c)."""
+    genus = coset[0].genus
+    summed, sums = _coset_sums(coset, degrees, fold)
+    size = {k: len(_basis(genus, k)[0]) for k in degrees if any(k in s for s in summed)}
+    if sum(size.values()) >= len(sums):
+        return None
+    first = dict(zip(size, itertools.accumulate(size.values(), initial=0)))
+    codes = [int("".join(map(str, a.a_double_prime)), 2) for a in coset]
+    rows = [(first[k] + j) * 2**genus + np.arange(2**genus) for _, k, j in sums]
+    return _CosetPlan(tuple(size), sum(size.values()) << genus, _frozen(np.array(rows, dtype=np.intp)),
+                      _frozen(_hadamard(genus)[[codes[pos] for pos, *_ in sums]]),
+                      _frozen(np.array([coset[pos].weight % 4 for pos, *_ in sums], dtype=np.intp)))
 
 
 def _class_layout(two_m: np.ndarray, a_prime) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -662,18 +655,14 @@ def _small_class_layout(a_prime: tuple, nrad: int, fold: bool):
     return _frozen(order), _frozen(classes), _frozen(places), largest
 
 
-def _block_sums(chunks, count: int, width: int, parts: bool):
-    """The sums of count complex rows, given as chunks [rows, n] with
-    n <= width: their real and imaginary parts are written into one
-    reused buffer of blocks of at most _BLOCK_BYTES (at least one row),
-    a block holding the real parts of its rows, then their imaginary
-    parts, each padded with -0.0 to width.  Returned are the exactly
-    rounded complex sums by _row_sums or, with parts, the real parts' and
-    then the imaginary parts' (r, f, b) by _two_sum_tree, nan for a block
-    it cannot take (not _in_range)."""
+def _block_sums(chunks, count: int, width: int):
+    """Write count complex rows, given as chunks [rows, n] with n <= width,
+    into blocks of at most _BLOCK_BYTES (at least one row) and yield each
+    block once it is filled: the real parts of its rows, then their
+    imaginary parts, each padded with -0.0 to width.  The blocks share
+    one buffer, so each is to be summed before the next is asked for."""
     per_block = max(1, _BLOCK_BYTES // (16 * width))
     buffer = np.empty((2 * min(per_block, count), width))
-    sums, real, imag = [], [], []
     start, size, filled = 0, min(per_block, count), 0
     block = buffer[:2 * size]
     for rows in chunks:
@@ -690,17 +679,10 @@ def _block_sums(chunks, count: int, width: int, parts: bool):
             filled += take
             if filled < size:
                 continue
-            if not parts:
-                flat = _row_sums(block)
-                sums.extend(map(complex, flat[:size], flat[size:]))
-            else:
-                tree = np.array(_two_sum_tree(block)) if _in_range(block) else np.full((3, 2 * size), np.nan)
-                real.append(tree[:, :size])
-                imag.append(tree[:, size:])
+            yield block
             start += size
             size, filled = min(per_block, count - start), 0
             block = buffer[:2 * size]
-    return np.concatenate(real + imag, axis=1) if parts else sums
 
 
 def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
@@ -718,32 +700,33 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
     partial product of up to four of them is K/16 with |K| <= 800^4 <
     2^39.
 
-    Parity classes.  The phase of a'' is exact: for m = n + a'/2 it is
-    i^((2m).a'') = i^|a| (-1)^(n.a''), and (-1)^(n.a'') depends only on
-    the class c = n mod 2.  So with S_c the sum of w(m) term(m) over the
-    points of class c, the sum of a with weight w is
-    i^|a| sum_c (-1)^(c.a'') S_c, and a coset of several characteristics
-    forms each weighted row once, over its box ordered by class, where a
-    sum per characteristic forms it once for each.  The turns and signs
-    are exact, so every term of the sum of a is, up to its sign, the term
-    of a class sum, and the exact sums agree.  The rounded class sums do
-    not: adding them moves the last bit of about 40% of the sums.  So
-    each class sum is kept double-length: the class segments of the rows
-    are summed through the blocks by _two_sum_tree, which gives each S_c
-    as r + f within a bound, and _class_combination sums the signed r and
-    f of the classes and keeps the result where its bound proves it the
-    exactly rounded sum, which is fsum's.  Every other sum (a zero sum,
-    one below 2^-900, one from a block holding inf or nan, one whose last
-    bit the bound cannot settle) is summed again from its own row
-    w(m) term_a(m) by _row_sums, the rows formed one at a time as the
-    blocks take them.
-
-    A coset whose classes would form no fewer weighted rows than its
-    characteristics (a coset of one characteristic: every theta_jet) is
-    the one-class case: each characteristic's phase is applied to its
-    terms and its rows are its own.  In a group of such cosets _row_sums
-    returns the sums themselves; beside a classed coset, each row is one
-    class whose combination is itself.
+    Each sum has one of two sources.
+    - The class combination, for a coset whose classes pay (_coset_plan).
+      The phase of a'' is exact: for m = n + a'/2 it is
+      i^((2m).a'') = i^|a| (-1)^(n.a''), and (-1)^(n.a'') depends only on
+      the class c = n mod 2.  So with S_c the sum of w(m) term(m) over the
+      points of class c, the sum of a with weight w is
+      i^|a| sum_c (-1)^(c.a'') S_c, and the coset forms each weighted row
+      once, over its box ordered by class, where a sum per characteristic
+      forms it once for each.  The turns and signs are exact, so every
+      term of the sum of a is, up to its sign, the term of a class sum,
+      and the exact sums agree.  The rounded class sums do not: adding
+      them moves the last bit of about 40% of the sums.  So each class sum
+      is kept double-length: the class segments of the rows are summed
+      through the blocks by _two_sum_tree, which gives each S_c as r + f
+      within a bound, and _class_combination sums the signed r and f of
+      the classes and keeps the result where its bound proves it the
+      exactly rounded sum, which is fsum's.
+    - The own-row stream, for every other sum: those of the cosets whose
+      classes do not pay (every theta_jet), and those the combination
+      leaves open (a zero sum, one below 2^-900, one from a block holding
+      inf or nan, one whose last bit the bound cannot settle).  Each is
+      summed from its own row w(m) term_a(m) by _row_sums, which gives
+      fsum's bits.  The stream runs coset by coset and characteristic by
+      characteristic, and its sums are placed by the same walk; one
+      characteristic's phased terms are alive at a time, each phased
+      once, and the rows of one degree are formed in one call and enter
+      the blocks one at a time.
 
     With fold (no z term) each box is folded over m <-> -m.  The box is
     symmetric (row i of _lattice_two_m is minus row n-1-i), the exponent
@@ -759,15 +742,14 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
     holding the origin once and its other points twice, so the class
     identity holds for the folded sums as for the full ones.
 
-    The rows are formed in the order of the cosets (and of the
-    characteristics of a one-class coset), the degrees and _basis: a
-    characteristic's own rows one at a time, as many class rows at once
-    as fill a block.  _block_sums writes their real and imaginary parts
-    into blocks of at most _BLOCK_BYTES (at least one row), as wide as
-    the group's longest row or class segment.  A shorter row of its own
-    is padded with -0.0, which adds nothing to any sum, the sign of a
-    zero sum included; a class segment is padded with the zero term of a
-    point that is not there (its zero sums fall back).
+    _block_sums writes the real and imaginary parts of each stream's rows
+    into blocks of at most _BLOCK_BYTES (at least one row): the class
+    rows as many at once as fill a block, as wide as the group's largest
+    class, and the own rows as wide as its longest box.  A shorter row of
+    its own is padded with -0.0, which adds nothing to any sum, the sign
+    of a zero sum included, so a row's bits do not depend on its block; a
+    class segment is padded with the zero term of a point that is not
+    there (its zero sums fall back).
     """
     genus = tau.genus
     spans, start = [], 0  # per coset: its rows of the group's lattice and its box points
@@ -791,42 +773,6 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
         for s, _, n in spans:
             multiplicity[s] = 2.0 - n % 2  # the origin, when a' = 0
 
-    # per coset: how its sums are formed, and for a classed one its
-    # points by class, padded to the group's largest class with a zero term
-    plans, layouts = [], []
-    for (coset, nrad, *_), (s, e, n) in zip(group, spans):
-        plain = _coset_plan(tuple(coset), tuple(degrees), fold, False)
-        classed = len(coset) > 1 and _coset_plan(tuple(coset), tuple(degrees), fold, True)
-        if classed and classed.count >> genus < plain.count:  # fewer weighted rows
-            plans.append(classed)
-            layouts.append(_small_class_layout(coset[0].a_prime, nrad, fold) if n <= 1024
-                           else _class_layout(two_m[s:e], coset[0].a_prime))
-        else:
-            plans.append(plain)
-            layouts.append(None)
-    width = max(e - s if layout is None else layout[3] for layout, (s, e, _) in zip(layouts, spans))
-    per_block = max(1, _BLOCK_BYTES // (16 * width))
-    where = [slice(s, e) for s, e, _ in spans]  # the points of each coset's rows
-    if any(layouts):
-        m, base = np.append(m, np.zeros((genus, 1)), axis=1), np.append(base, 0j)
-        if fold:
-            multiplicity = np.append(multiplicity, 0.0)
-        for index, (layout, (s, _, _)) in enumerate(zip(layouts, spans)):
-            if layout is not None:
-                order, classes, places, _ = layout
-                where[index] = np.full(width << genus, len(two_m))
-                where[index][classes * width + places] = s + order
-    phased = {}  # the terms of the one characteristic whose rows are formed
-
-    def terms(index, pos):
-        """The terms of coset[pos] of coset index, with its phase."""
-        if (index, pos) not in phased:
-            phased.clear()
-            s, e, _ = spans[index]
-            a = group[index][0][pos]
-            phased[index, pos] = base[s:e] * _phase_factors(two_m[s:e], a.a_double_prime)
-        return phased[index, pos]
-
     def weights(points, monomials):
         """The weights m_j ... m_p over points of monomials, one array each
         (for degree 1 the rows of m themselves)."""
@@ -838,13 +784,12 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
             out.append(w)
         return out
 
-    def weighted(points, k, t, only=None, step=1):
-        """The rows w(m) t(m) over points for the monomials of degree k
-        (the one numbered only, if given; t itself for k = 0), step rows
-        at a time, with the multiplicities of the fold."""
-        if k:
-            monomials = _monomials(genus, k)
-            w = weights(points, monomials if only is None else monomials[only:only + 1])
+    def weighted(points, monomials, t, step=1):
+        """The rows w(m) t(m) over points for monomials (t itself for the
+        monomial of degree 0), step rows at a time, with the
+        multiplicities of the fold."""
+        if monomials[0]:
+            w = weights(points, monomials)
             chunks = ((w[i][None] if step == 1 else np.stack(w[i:i + step])) * t
                       for i in range(0, len(w), step))
         else:
@@ -853,53 +798,83 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
         for rows in chunks:
             yield mult * rows if fold else rows
 
-    def rows():
-        for index, (plan, layout) in enumerate(zip(plans, layouts)):
-            points = where[index]
-            if layout is None:
-                for pos, degrees_of_a in enumerate(plan.summed):
-                    for k in degrees_of_a:
-                        yield from weighted(points, k, terms(index, pos))
-                continue
-            for k in plan.ks:
-                for split in weighted(points, k, base[points], step=max(1, per_block >> genus)):
-                    yield split.reshape(-1, width)
+    # per coset: the degrees each characteristic sums and its sums, and
+    # the sums' values, from the class combination or from own rows
+    summed = [_coset_sums(tuple(coset), tuple(degrees), fold) for coset, *_ in group]
+    plans = [_coset_plan(tuple(coset), tuple(degrees), fold) for coset, *_ in group]
+    values = [[None] * len(sums) for _, sums in summed]
+    # (coset, the numbers of its sums formed from their own rows)
+    own = [(i, range(len(sums))) for i, (_, sums) in enumerate(summed) if plans[i] is None]
+    classed = [i for i, plan in enumerate(plans) if plan]
+    if classed:
+        # each classed coset's points by class, padded to the group's
+        # largest class with a zero term
+        layouts = {i: _small_class_layout(group[i][0][0].a_prime, group[i][1], fold) if spans[i][2] <= 1024
+                   else _class_layout(two_m[slice(*spans[i][:2])], group[i][0][0].a_prime) for i in classed}
+        width = max(layout[3] for layout in layouts.values())
+        m, base = np.append(m, np.zeros((genus, 1)), axis=1), np.append(base, 0j)
+        if fold:
+            multiplicity = np.append(multiplicity, 0.0)
+        where = {}
+        for i, (order, classes, places, _) in layouts.items():
+            where[i] = np.full(width << genus, len(two_m))
+            where[i][classes * width + places] = spans[i][0] + order
+        step = max(1, _BLOCK_BYTES // (16 * width) >> genus)
+        rows = (split.reshape(-1, width) for i in classed for k in plans[i].ks
+                for split in weighted(where[i], _monomials(genus, k), base[where[i]], step))
+        count = sum(plans[i].count for i in classed)
+        trees = [np.array(_two_sum_tree(block)) if _in_range(block) else np.full((3, len(block)), np.nan)
+                 for block in _block_sums(rows, count, width)]
+        r, f, b = np.concatenate([t[:, :t.shape[1] // 2] for t in trees]
+                                 + [t[:, t.shape[1] // 2:] for t in trees], axis=1)
+        offsets = itertools.accumulate((plans[i].count for i in classed), initial=0)
+        gather = np.concatenate([plans[i].rows + o for i, o in zip(classed, offsets)])
+        signs = np.concatenate([plans[i].signs for i in classed])
+        x, ok = _class_combination(r, f, b, np.concatenate((gather, gather + count)),
+                                   np.concatenate((signs, signs)))
+        half = len(gather)
+        re, im, turns = x[:half], x[half:], np.concatenate([plans[i].turns for i in classed])
+        combined = np.empty(half, dtype=complex)
+        combined.real = np.choose(turns, [re, -im, -re, im])
+        combined.imag = np.choose(turns, [im, re, -im, -re])
+        combined = combined.tolist()
+        missed = np.flatnonzero(~(ok[:half] & ok[half:])).tolist()
+        starts = itertools.accumulate((len(summed[i][1]) for i in classed), initial=0)
+        for i, start in zip(classed, starts):
+            stop = start + len(values[i])
+            values[i] = combined[start:stop]
+            numbers = [n - start for n in missed if start <= n < stop]
+            if numbers:
+                own.append((i, numbers))
 
-    count = sum(plan.count for plan in plans)
-    if not any(layouts):
-        values = _block_sums(rows(), count, width, parts=False)
-    else:
-        r, f, b = _block_sums(rows(), count, width, parts=True)
-        offsets = itertools.accumulate((plan.count for plan in plans), initial=0)
-        index = np.concatenate([plan.rows + o for plan, o in zip(plans, offsets)])
-        signs = np.concatenate([plan.signs for plan in plans])
-        turns = np.concatenate([plan.turns for plan in plans])
-        x, certified = _class_combination(r, f, b, np.concatenate((index, index + count)),
-                                          np.concatenate((signs, signs)))
-        re, im = x[:len(index)], x[len(index):]
-        sums = np.empty(len(index), dtype=complex)
-        sums.real = np.choose(turns, [re, -im, -re, im])
-        sums.imag = np.choose(turns, [im, re, -im, -re])
-        values = sums.tolist()
-        # every sum the bound does not certify, from its own row
-        missed = np.flatnonzero(~(certified[:len(index)] & certified[len(index):])).tolist()
-        if missed:
-            # formed one at a time, in the order of the sums, as they are summed
-            owners = [(i, *sum_) for i, plan in enumerate(plans) for sum_ in plan.sums]
-            own_rows = (row for i, pos, k, j in map(owners.__getitem__, missed)
-                        for row in weighted(slice(*spans[i][:2]), k, terms(i, pos), only=j))
-            redone = _block_sums(own_rows, len(missed), max(e - s for s, e, _ in spans), parts=False)
-            for n, value in zip(missed, redone):
-                values[n] = value
+    def own_rows():
+        for i, numbers in own:
+            s, e, _ = spans[i]
+            sums = summed[i][1]
+            for pos, of_a in itertools.groupby(map(sums.__getitem__, numbers), itemgetter(0)):
+                t = base[s:e] * _phase_factors(two_m[s:e], group[i][0][pos].a_double_prime)
+                for k, of_k in itertools.groupby(of_a, itemgetter(1)):
+                    monomials = _monomials(genus, k)
+                    yield from weighted(slice(s, e), [monomials[j] for *_, j in of_k], t)
 
-    start = 0
-    for (coset, nrad, bounds, _), (summed, *_) in zip(group, plans):
-        for a, degrees_of_a in zip(coset, summed):
+    redone = []
+    width = max(e - s for s, e, _ in spans)
+    for block in _block_sums(own_rows(), sum(len(numbers) for _, numbers in own), width):
+        flat = _row_sums(block)
+        redone.extend(map(complex, flat[:len(flat) // 2], flat[len(flat) // 2:]))
+    redone = iter(redone)
+    for i, numbers in own:
+        for n in numbers:
+            values[i][n] = next(redone)
+
+    for (coset, nrad, bounds, _), (of_coset, _), sums in zip(group, summed, values):
+        start = 0
+        for a, degrees_of_a in zip(coset, of_coset):
             out = {}
             for k in degrees:
                 size = len(_basis(genus, k)[0])
                 if k in degrees_of_a:
-                    out[k], start = values[start:start + size], start + size
+                    out[k], start = sums[start:start + size], start + size
                 else:
                     out[k] = [0j] * size
             yield a, out, bounds[0], nrad

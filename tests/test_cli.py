@@ -197,10 +197,14 @@ TAU2 = "[[[0.1,1.0],[0.0,0.1]],[[0.0,0.1],[0.0,1.2]]]"
         (["report", "EMPTY_LIST_FILE"], {}),
         (["report", "ROW_WITHOUT_GENUS_FILE"], {}),
         (["verify", "all"], {"SIEGELTHETA_WORKERS": "abc"}),
+        (["halphen", "check", "--samples", "0"], {}),
+        (["halphen", "check", "--samples", "-3"], {}),
+        (["eval", "--char", "00", "--tau", '{"genus": 1}'], {}),
     ],
     ids=["char-entry-not-a-bit", "tau-scalar", "tau-entry-not-a-pair", "z-scalar",
          "z-entry-not-a-pair", "report-of-a-list", "report-row-without-genus",
-         "workers-env-not-an-int"],
+         "workers-env-not-an-int", "halphen-check-no-samples", "halphen-check-negative-samples",
+         "tau-point-without-tau"],
 )
 def test_malformed_input_is_a_usage_error(argv, env, capsys, monkeypatch, tmp_path):
     files = {

@@ -580,3 +580,43 @@ def test_a_check_fails_when_a_field_it_reads_is_off_by_1e_6(monkeypatch, genus, 
     monkeypatch.setattr(identities, "_point", perturbed)
     check = run_check(name, genus, SamplePlan(seed=0, count=1))
     assert check.status == "fail", f"{check.max_rel_residual:.2g} at {check.witness}"
+
+
+#: the theta_values calls two checks read beside the point record, each
+#: told apart by its arguments: riemann_quartic's values at z and 2z, and
+#: heat_equation's at tau shifted up and down by its difference step
+_VALUES_READ = {
+    "riemann_quartic": {
+        "z": lambda z, tau, z0, tau0: z is not None and np.array_equal(z, z0),
+        "2z": lambda z, tau, z0, tau0: z is not None and np.array_equal(z, 2 * z0),
+    },
+    "heat_equation": {
+        "tau+h": lambda z, tau, z0, tau0: (tau.tau - tau0.tau).real.sum() > 0,
+        "tau-h": lambda z, tau, z0, tau0: (tau.tau - tau0.tau).real.sum() < 0,
+    },
+}
+
+
+@pytest.mark.parametrize("genus, name, read", [
+    pytest.param(genus, name, read, id=f"{genus}-{name}-{read}")
+    for genus in (2, 3) for name, reads in _VALUES_READ.items() for read in reads
+])
+def test_a_check_fails_when_theta_values_it_reads_are_off_by_1e_6(monkeypatch, genus, name, read):
+    # the value of the second characteristic asked for gets a relative
+    # error of 1e-6 in every call the selector picks, and in no other
+    plan = SamplePlan(seed=0, count=1)
+    [(tau0, z0)] = plan.tau_z_points(genus) if name == "riemann_quartic" else [(plan.tau_points(genus)[0], None)]
+    real, picked = identities.theta_values, []
+
+    def perturbed(chars, z, tau, eps):
+        values = real(chars, z, tau, eps)
+        if _VALUES_READ[name][read](z, tau, z0, tau0):
+            a = list(chars)[1]
+            values[a] *= 1 + 1e-6
+            picked.append(a)
+        return values
+
+    monkeypatch.setattr(identities, "theta_values", perturbed)
+    check = run_check(name, genus, plan)
+    assert picked
+    assert check.status == "fail", f"{check.max_rel_residual:.2g} at {check.witness}"

@@ -42,6 +42,14 @@ def test_siegel_point_json_roundtrip():
     assert again == pt
 
 
+@pytest.mark.parametrize("missing", ["genus", "tau"])
+def test_siegel_point_json_names_a_missing_field(missing):
+    obj = _point().to_json()
+    del obj[missing]
+    with pytest.raises(ValueError, match=f"'{missing}'"):
+        SiegelPoint.from_json(obj)
+
+
 def test_derivation_indices():
     idx = DerivationIndex.all_for_genus(3)
     assert len(idx) == 6

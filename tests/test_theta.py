@@ -793,13 +793,40 @@ def _certified_counts(monkeypatch, refuse=False):
     return counts
 
 
+def _mixed(genus):
+    """One characteristic of the first coset, all of the second, two of
+    the last: one call sums classes beside cosets of their own rows."""
+    chars = enumerate_characteristics(genus)
+    return list(dict.fromkeys([chars[1]] + chars[2**genus:2 * 2**genus] + chars[-2:]))
+
+
+def _classed_sums(chars, order, fold):
+    """The number of sums of the cosets of chars whose classes form fewer
+    weighted rows than their characteristics would form of their own."""
+    genus = chars[0].genus
+    size = {k: math.comb(genus + k - 1, k) for k in (0, 1, 2, 4) if k <= order}
+    cosets = {}
+    for a in chars:
+        cosets.setdefault(a.a_prime, []).append(a)
+    total = 0
+    for coset in cosets.values():
+        summed = [[k for k in size if not (fold and (k + a.weight) % 2)] for a in coset]
+        own = sum(size[k] for s in summed for k in s)
+        if sum(size[k] for k in set().union(*summed)) < own:
+            total += own
+    return total
+
+
 @pytest.mark.parametrize("genus", [2, 3])
 def test_every_sum_keeps_its_bits_when_no_class_combination_is_certified(genus, monkeypatch):
-    # every sum then comes from its own row, as without classes
+    # every sum then comes from its own row, as without classes; with the
+    # mixed selection one stream holds both sums of their own cosets and
+    # refused sums of classed ones
     counts = _certified_counts(monkeypatch, refuse=True)
     pt = _random_point(genus, 110 + genus)
     z = np.random.default_rng(genus).uniform(-0.3, 0.3, genus) + 0.1j
-    _assert_full_box_bits(pt, enumerate_characteristics(genus), (1, 2, 4), (None, np.zeros(genus), z))
+    for chars in (enumerate_characteristics(genus), _mixed(genus)):
+        _assert_full_box_bits(pt, chars, (1, 2, 4), (None, np.zeros(genus), z))
     assert counts["sums"] > 0 and counts["certified"] == 0
 
 
@@ -843,15 +870,27 @@ def test_a_deep_genus2_box_at_nonzero_z_sums_by_class_with_the_bits_of_fsum(monk
 
 
 @pytest.mark.parametrize("genus", [1, 2, 3])
-def test_a_group_of_classed_and_one_class_cosets_keeps_every_bit(genus):
-    # one characteristic of the first coset, all of the second, two of
-    # the last: one group sums classes beside rows of their own
-    chars = enumerate_characteristics(genus)
-    mixed = [chars[1]] + chars[2**genus:2 * 2**genus] + chars[-2:]
+def test_a_group_of_classed_and_one_class_cosets_keeps_every_bit(genus, monkeypatch):
+    # one group sums classes beside cosets of their own rows: the class
+    # combination sees the classed cosets' sums and no other, and no
+    # characteristic's terms are phased twice in one call
+    mixed = _mixed(genus)
     pt = _random_point(genus, 150 + genus)
     z = np.random.default_rng(genus).uniform(-0.3, 0.3, genus) + 0.1j
+    counts = _certified_counts(monkeypatch)
+    phased = []
+    phase_factors = kernel._phase_factors
+    monkeypatch.setattr(kernel, "_phase_factors", lambda two_m, a_double_prime: phased.append(
+        (tuple(two_m[0]), tuple(a_double_prime))) or phase_factors(two_m, a_double_prime))
     for zz, order in ((None, 4), (np.zeros(genus), 0), (z, 0)):
-        assert _call_hex(mixed, zz, pt, order) == {a: _call_hex([a], zz, pt, order)[a] for a in mixed}
+        counts["sums"] = 0
+        phased.clear()
+        batch = _call_hex(mixed, zz, pt, order)
+        classed = _classed_sums(mixed, order, zz is None or not zz.any())
+        assert counts["sums"] == classed
+        assert len(set(phased)) == len(phased)
+        assert batch == {a: _call_hex([a], zz, pt, order)[a] for a in mixed}
+    assert 0 < classed and len(phased) > 0
     _assert_full_box_bits(pt, mixed, (1, 2, 4), (None, z))
 
 

@@ -19,6 +19,10 @@ and writes, for every characteristic:
 - batch_moments at orders 1, 2 and 4 (value, t1, t2, t4, tail bound and
   radius);
 - theta_values at z = None, z = 0 and the z != 0;
+- for a mixed selection (one characteristic of the first a' coset, all
+  of the second, the last two), whose one call sums cosets by parity
+  class beside cosets summed from their own rows: batch_moments at order
+  4 and theta_values at z = 0 and the z != 0;
 - theta_jet at z = 0 and the z != 0;
 - truncation_radius for weights 0, 1, 2 and 4 at both z, for the
   characteristic and for no characteristic.
@@ -75,6 +79,16 @@ def dump(root: Path, seed: int):
             for name, w in (("None", None), ("0", np.zeros(genus)), ("z", z)):
                 values = theta.theta_values(chars, w, tau, EPS)
                 yield f"{tag} values z={name} " + _hex(values[a] for a in chars)
+            mixed = list(dict.fromkeys([chars[1], *chars[2**genus:2 * 2**genus], *chars[-2:]]))
+            moments = theta.batch_moments(mixed, tau, EPS, order=4)
+            for a in mixed:
+                mom = moments[a]
+                yield (f"{tag} mixed moments4 {a.label()} radius={mom.radius} "
+                       f"bound={mom.tail_bound.hex()} "
+                       f"{_hex([mom.value, *mom.t1, *mom.t2.ravel(), *mom.t4.ravel()])}")
+            for name, w in (("0", np.zeros(genus)), ("z", z)):
+                values = theta.theta_values(mixed, w, tau, EPS)
+                yield f"{tag} mixed values z={name} " + _hex(values[a] for a in mixed)
             for name, w in (("0", np.zeros(genus)), ("z", z)):
                 for a in chars:
                     jet = theta.theta_jet(a, w, tau, EPS)
