@@ -20,7 +20,6 @@ from .characteristics import (
     parity,
 )
 from .siegel import (
-    DerivationIndex,
     SiegelPoint,
     SymplecticMatrix,
     act,
@@ -30,13 +29,7 @@ from .siegel import (
 )
 from .theta import (
     DEFAULT_EPS,
-    QuarticForm,
-    SymmetricForm,
     ThetaJet,
-    delta_theta,
-    odd_z_gradient,
-    psi_matrix,
-    quartic_delta_psi,
     theta_jet,
     theta_values,
     truncation_radius,
@@ -53,7 +46,6 @@ __all__ = [
     "gopel_systems",
     "pairing",
     "parity",
-    "DerivationIndex",
     "SiegelPoint",
     "SymplecticMatrix",
     "act",
@@ -61,13 +53,7 @@ __all__ = [
     "is_in_gamma_48",
     "random_gamma_48",
     "DEFAULT_EPS",
-    "QuarticForm",
-    "SymmetricForm",
     "ThetaJet",
-    "delta_theta",
-    "odd_z_gradient",
-    "psi_matrix",
-    "quartic_delta_psi",
     "theta_jet",
     "theta_values",
     "truncation_radius",

@@ -127,11 +127,13 @@ def run_campaign(config: RunConfig) -> CampaignReport:
     plan = config.plan()
     tasks = [(name, config.genus, plan, config.eps, config.tol) for name in names]
     checks, times = [], {}
+    # the pool forks all its workers at once, so it has no more than tasks
+    workers = min(config.workers, len(tasks))
     with contextlib.ExitStack() as stack:
         run = map
-        if config.workers > 1:
+        if workers > 1:
             pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=config.workers, initializer=_open_point_memo
+                max_workers=workers, initializer=_open_point_memo
             )
             run = stack.enter_context(pool).map
         else:
@@ -158,20 +160,18 @@ def _parse_char(text: str, genus: int | None = None) -> Characteristic:
 
 def _parse_tau(text: str) -> SiegelPoint:
     obj = json.loads(text)
-    try:
-        if isinstance(obj, dict):
-            return SiegelPoint.from_json(obj)
-        mat = np.array([[complex(re, im) for re, im in row] for row in obj])
-    except TypeError as exc:
-        raise ValueError(f"tau must be a JSON point or a matrix of [re, im] pairs ({exc})") from exc
-    return SiegelPoint(mat.shape[0], mat)
+    if isinstance(obj, list):
+        obj = {"genus": len(obj), "tau": obj}
+    if not isinstance(obj, dict):
+        raise ValueError("tau must be a JSON point or a matrix of [re, im] pairs")
+    return SiegelPoint.from_json(obj)
 
 
 def _parse_z(text: str, genus: int) -> np.ndarray:
     obj = json.loads(text)
     try:
         z = np.array([complex(re, im) for re, im in obj])
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"z must be a JSON list of [re, im] pairs ({exc})") from exc
     if z.shape != (genus,):
         raise ValueError(f"z must have {genus} entries")
@@ -260,6 +260,9 @@ def _cmd_formal(args) -> int:
 
 def _cmd_halphen(args) -> int:
     if args.action == "integrate":
+        # no step would print the start state against the end point's reference
+        if args.steps < 1:
+            raise ValueError("steps must be positive")
         start = _parse_complex(args.start)
         end = _parse_complex(args.end)
         state = halphen.integrate(start, end, args.steps)

@@ -59,8 +59,8 @@ import numpy as np
 from .characteristics import Characteristic, char_table, digit_decode
 from .exactpoly import phi_expressions
 from .siegel import SiegelPoint, act, cocycle_factor, random_gamma_48
-from .theta import DEFAULT_EPS, PointRecord, QuarticForm, batch_moments
-from .theta import square_forms, theta_values
+from .theta import DEFAULT_EPS, PointRecord, batch_moments
+from .theta import quartic_monomials, square_forms, theta_values
 from .halphen import genus1_data
 
 __all__ = [
@@ -369,7 +369,7 @@ def check_second_order_system(
         scale = np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1)) + max(
             coeff * np.abs(t4) * np.abs(psi_sq).max(axis=1)
         )
-        at_u = QuarticForm.monomials(u)
+        at_u = quartic_monomials(u)
         check.add(  # per a: [coefficients, value at u]
             np.stack([np.abs(lhs - rhs).max(axis=1), np.abs(lhs @ at_u - rhs @ at_u)], axis=1),
             np.stack([scale, scale * max(1.0, float(np.max(np.abs(u))) ** 4)], axis=1),

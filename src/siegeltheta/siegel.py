@@ -1,4 +1,4 @@
-"""Siegel upper half-space points, normalized derivations, and the theta group.
+"""Siegel upper half-space points and the theta group.
 
 Points are symmetric complex g x g matrices tau with positive definite
 imaginary part.  The derivations used throughout are the normalized
@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "SiegelPoint",
-    "DerivationIndex",
     "SymplecticMatrix",
     "is_in_gamma_48",
     "act",
@@ -49,8 +48,9 @@ class SiegelPoint:
     """A point of the Siegel upper half-space of the given genus.
 
     Symmetry is exact: only the upper triangle of the input is read and
-    the stored matrix mirrors it.  Positive definiteness of the
-    imaginary part is checked with margin PD_MARGIN.
+    the stored matrix mirrors it.  Every entry must be finite, and
+    positive definiteness of the imaginary part is checked with margin
+    PD_MARGIN.
     """
 
     genus: int
@@ -61,6 +61,8 @@ class SiegelPoint:
         if m.shape != (self.genus, self.genus):
             raise ValueError(f"tau must be {self.genus}x{self.genus}")
         sym = np.triu(m) + np.triu(m, 1).T  # exact symmetry from the upper triangle
+        if not np.isfinite(sym).all():
+            raise HalfSpaceError("tau must have finite entries")
         lam = float(np.linalg.eigvalsh(sym.imag).min())
         if not np.isfinite(lam) or lam <= PD_MARGIN:
             raise HalfSpaceError(
@@ -101,31 +103,11 @@ class SiegelPoint:
             if key not in obj:
                 raise ValueError(f"a Siegel point needs the field {key!r}")
         g = int(obj["genus"])
-        m = np.array(
-            [[complex(re, im) for re, im in row] for row in obj["tau"]], dtype=complex
-        )
+        try:
+            m = np.array([[complex(re, im) for re, im in row] for row in obj["tau"]], dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"tau must be a matrix of [re, im] pairs ({exc})") from exc
         return SiegelPoint(g, m)  # symmetry re-enforced by the constructor
-
-
-@dataclass(frozen=True, order=True)
-class DerivationIndex:
-    """Index (j, l) with 1 <= j <= l <= g of a normalized derivation delta_jl."""
-
-    j: int
-    l: int
-
-    def __post_init__(self):
-        if not (1 <= self.j <= self.l):
-            raise ValueError("require 1 <= j <= l")
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.j == self.l
-
-    @staticmethod
-    def all_for_genus(genus: int) -> list["DerivationIndex"]:
-        """The n = g(g+1)/2 indices, diagonal-major then lexicographic."""
-        return [DerivationIndex(j, l) for j in range(1, genus + 1) for l in range(j, genus + 1)]
 
 
 def _as_int_matrix(m, genus, name):

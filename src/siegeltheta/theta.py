@@ -17,11 +17,15 @@ derivatives computable termwise as well,
 
     delta_jl theta_a = (1/(2 pi i)^2) d^2 theta_a / dz_j dz_l,
 
-i.e. a per-term factor m_j m_l.  batch_moments returns plain Moments;
-PointRecord stacks them and is the one place that forms psi_a (entries
-delta_jl theta_a / theta_a), psi_a^2, eta_{a,b} = det(psi_b - psi_a) and
-delta(psi_a), quartic forms being dense vectors over _basis(g, 4), from
-fourth-order z-derivative data, never from tau differencing:
+i.e. a per-term factor m_j m_l.  The kernel has three entry points:
+theta_jet (one characteristic, value and z-derivatives at any z),
+theta_values (values of several) and batch_moments (the z = 0 moments of
+several).  The z = 0 data have one route: batch_moments returns plain
+Moments, and PointRecord stacks them and is the one place that forms
+psi_a (entries delta_jl theta_a / theta_a), psi_a^2,
+eta_{a,b} = det(psi_b - psi_a) and delta(psi_a), quartic forms being
+dense vectors over _basis(g, 4), from fourth-order z-derivative data,
+never from tau differencing:
 
     delta_jl psi_{a,mp} = (fourth moment)_{jlmp} / theta_a - psi_{a,jl} psi_{a,mp}.
 
@@ -87,7 +91,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import NamedTuple
@@ -96,26 +100,20 @@ from math import fsum
 import numpy as np
 
 from .characteristics import Characteristic
-from .siegel import PD_MARGIN, SiegelPoint, DerivationIndex, HalfSpaceError
+from .siegel import PD_MARGIN, SiegelPoint, HalfSpaceError
 
 __all__ = [
     "ThetaJet",
-    "SymmetricForm",
-    "QuarticForm",
     "Moments",
     "PointRecord",
     "square_forms",
+    "quartic_monomials",
     "TruncationError",
     "NearZeroThetanull",
     "truncation_radius",
     "theta_jet",
     "theta_values",
-    "theta_moments",
     "batch_moments",
-    "delta_theta",
-    "psi_matrix",
-    "odd_z_gradient",
-    "quartic_delta_psi",
     "DEFAULT_EPS",
 ]
 
@@ -314,9 +312,12 @@ def truncation_radius(
 
 
 def _imag_norm(z, genus: int) -> float:
+    """|Im z|; a non-finite z is refused, since no radius bounds its terms."""
     if z is None:
         return 0.0
     zz = np.asarray(z, dtype=complex).reshape(genus)
+    if not np.isfinite(zz).all():
+        raise ValueError("z must have finite entries")
     return float(np.linalg.norm(zz.imag))
 
 
@@ -1073,13 +1074,6 @@ def theta_values(
     return {a: s[0][0] for a, s, _, _ in _sums(chars, z, tau, {0: eps}, (0,))}
 
 
-def theta_moments(
-    a: Characteristic, tau: SiegelPoint, eps: float = DEFAULT_EPS, order: int = 4
-) -> Moments:
-    """z = 0 moments of theta_a up to the requested order (1, 2 or 4)."""
-    return batch_moments([a], tau, eps, order)[a]
-
-
 def batch_moments(
     chars, tau: SiegelPoint, eps: float = DEFAULT_EPS, order: int = 4
 ) -> dict[Characteristic, Moments]:
@@ -1098,23 +1092,8 @@ def batch_moments(
 
 
 # ----------------------------------------------------------------------
-# quadratic and quartic form containers
+# quartic forms: dense vectors over _basis(g, 4)
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SymmetricForm:
-    """Coefficients of a quadratic form sum_{j,l} c_jl u_j u_l (c symmetric)."""
-
-    genus: int
-    coefficients: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex)
-        if c.shape != (self.genus, self.genus):
-            raise ValueError("coefficient matrix has wrong shape")
-        # exact symmetry from the upper triangle; adding +0.0 turns -0.0 into +0.0
-        object.__setattr__(self, "coefficients", _frozen(np.triu(c) + np.triu(c, 1).T))
-
 
 def _symmetrize(full: np.ndarray) -> np.ndarray:
     """The quartic forms with 4-index arrays full[..., j, l, m, p]: each
@@ -1134,84 +1113,12 @@ def _outer_squares(phi: np.ndarray) -> np.ndarray:
 
 def square_forms(phi: np.ndarray) -> np.ndarray:
     """The quartic forms phi(u)^2 of a stack [n, g, g] of symmetric
-    coefficient arrays, a -0.0 entry read as +0.0 (as SymmetricForm does)."""
+    coefficient arrays, a -0.0 entry read as +0.0 (as PointRecord.psi does)."""
     return _symmetrize(_outer_squares(phi + 0.0))
 
 
-@dataclass(frozen=True)
-class QuarticForm:
-    """A quartic form in u, one complex vector over the monomial basis
-    (1, 5 and 15 monomials at genus 1, 2 and 3).
-
-    coefficients[i] is the full coefficient of the monomial
-    u_j u_l u_m u_p with (j, l, m, p) = _basis(genus, 4)[0][i],
-    i.e. the sum over all index orderings of the defining 4-index array,
-    so evaluation is a plain dot product with the monomials.
-    """
-
-    genus: int
-    coefficients: np.ndarray = field(repr=False)
-
-    @staticmethod
-    def from_quadratic_product(phi: SymmetricForm, eta: SymmetricForm) -> "QuarticForm":
-        """The quartic form phi(u) * eta(u)."""
-        if eta.genus != phi.genus:
-            raise ValueError("genus mismatch")
-        full = np.multiply.outer(phi.coefficients, eta.coefficients)
-        return QuarticForm(phi.genus, _symmetrize(full))
-
-    def coefficient(self, j, l, m, p) -> complex:
-        """The coefficient of u_j u_l u_m u_p, in any index order."""
-        return complex(self.coefficients[_basis(self.genus, 4)[1][j, l, m, p]])
-
-    @staticmethod
-    def monomials(u) -> np.ndarray:
-        """The degree-4 monomials of u in basis order: value_at(u) is
-        coefficients @ monomials(u), also for a stack of coefficients."""
-        u = np.asarray(u, dtype=complex)
-        return u[_basis(len(u), 4)[0]].prod(axis=1)
-
-    def value_at(self, u) -> complex:
-        return complex(self.coefficients @ QuarticForm.monomials(u))
-
-
-# ----------------------------------------------------------------------
-# derived quantities
-# ----------------------------------------------------------------------
-
-def delta_theta(
-    a: Characteristic,
-    tau: SiegelPoint,
-    idx: DerivationIndex,
-    eps: float = DEFAULT_EPS,
-) -> complex:
-    """delta_jl theta_a(0, tau), computed termwise via the heat equation."""
-    if not a.is_even:
-        raise ValueError("delta_theta expects an even characteristic (thetanull context)")
-    if idx.l > a.genus:
-        raise ValueError("derivation index out of range for this genus")
-    mom = theta_moments(a, tau, eps, order=2)
-    return complex(mom.t2[idx.j - 1, idx.l - 1])
-
-
-def psi_matrix(a: Characteristic, tau: SiegelPoint, eps: float = DEFAULT_EPS) -> SymmetricForm:
-    """The symmetric matrix psi_a with entries delta_jl theta_a / theta_a."""
-    if not a.is_even:
-        raise ValueError("psi_matrix is defined for even characteristics")
-    return SymmetricForm(a.genus, PointRecord.stack([theta_moments(a, tau, eps, order=2)]).psi(0))
-
-
-def odd_z_gradient(a: Characteristic, tau: SiegelPoint, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """(1 / 2 pi i) dtheta_a/dz at z = 0, for odd a."""
-    if a.is_even:
-        raise ValueError("odd_z_gradient requires an odd characteristic")
-    mom = theta_moments(a, tau, eps, order=1)
-    return mom.t1  # per-term factor m_j already equals the normalized gradient
-
-
-def quartic_delta_psi(a: Characteristic, tau: SiegelPoint, eps: float = DEFAULT_EPS) -> QuarticForm:
-    """The quartic form delta(psi_a) with entries delta_jl psi_{a,mp}, from
-    fourth-order z-derivative data (tau differences are a test oracle)."""
-    if not a.is_even:
-        raise ValueError("quartic_delta_psi is defined for even characteristics")
-    return QuarticForm(a.genus, PointRecord.stack([theta_moments(a, tau, eps)]).delta_psi(0))
+def quartic_monomials(u) -> np.ndarray:
+    """The degree-4 monomials of u in basis order: a quartic form q, or a
+    stack of them, takes the value q @ quartic_monomials(u) at u."""
+    u = np.asarray(u, dtype=complex)
+    return u[_basis(len(u), 4)[0]].prod(axis=1)

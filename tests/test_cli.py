@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -200,11 +202,20 @@ TAU2 = "[[[0.1,1.0],[0.0,0.1]],[[0.0,0.1],[0.0,1.2]]]"
         (["halphen", "check", "--samples", "0"], {}),
         (["halphen", "check", "--samples", "-3"], {}),
         (["eval", "--char", "00", "--tau", '{"genus": 1}'], {}),
+        (["eval", "--char", "(0;0)", "--tau", "[[[Infinity,1]]]"], {}),
+        (["eval", "--char", "(0;0)", "--tau", "[[[0,1]]]", "--z", "[[NaN,0]]"], {}),
+        (["eval", "--char", "(0;0)", "--tau", "[[[0,1]]]", "--z", "[[0,Infinity]]"], {}),
+        (["eval", "--char", "(0;0)", "--tau", "[[[0,1,5]]]"], {}),
+        (["eval", "--char", "(0;0)", "--tau", "[[[0,1]]]", "--z", "[[1,2,3]]"], {}),
+        (["eval", "--char", "(0;0)", "--tau", '{"genus": 1, "tau": [[[0,1,5]]]}'], {}),
+        (["halphen", "integrate", "--from", "0+1i", "--to", "0+2i", "--steps", "0"], {}),
     ],
     ids=["char-entry-not-a-bit", "tau-scalar", "tau-entry-not-a-pair", "z-scalar",
          "z-entry-not-a-pair", "report-of-a-list", "report-row-without-genus",
          "workers-env-not-an-int", "halphen-check-no-samples", "halphen-check-negative-samples",
-         "tau-point-without-tau"],
+         "tau-point-without-tau", "tau-infinite-real-part", "z-nan", "z-infinite-imaginary-part",
+         "tau-entry-a-triple", "z-entry-a-triple", "tau-point-entry-a-triple",
+         "halphen-integrate-no-steps"],
 )
 def test_malformed_input_is_a_usage_error(argv, env, capsys, monkeypatch, tmp_path):
     files = {
@@ -225,6 +236,16 @@ def test_malformed_input_is_a_usage_error(argv, env, capsys, monkeypatch, tmp_pa
     # nothing half-rendered reaches stdout before the error
     assert out.out == ""
     assert "error: " in out.err
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("tau", ["--tau", "[[[0,1,5]]]"]),
+    ("z", ["--tau", "[[[0,1]]]", "--z", "[[1,2,3]]"]),
+])
+def test_a_malformed_pair_names_its_field(name, argv, capsys):
+    code, _, err = run_main(capsys, "eval", "--char", "(0;0)", *argv)
+    assert code == 2
+    assert f"error: {name} must be a " in err and "[re, im] pairs" in err
 
 
 def test_report_rendering(capsys, tmp_path):
@@ -408,6 +429,49 @@ def test_no_point_memo_survives_a_campaign(monkeypatch):
         cli.run_campaign(RunConfig(genus=2, samples=1, identities=["shares", "broken"]))
     assert seen == [True, True]
     assert identities._POINTS.get() is None
+
+
+def test_pool_has_no_more_workers_than_checks(monkeypatch):
+    # a pool forks all its workers at once, so it is sized by the checks it
+    # runs; the report keeps the requested count
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    names = identities.checks_for_genus(1)
+    assert len(names) > 2
+    for workers, chosen, sizes in ((64, [], [len(names)]), (2, [], [2]), (64, names[:1], [])):
+        pools.clear()
+        report = cli.run_campaign(RunConfig(genus=1, samples=1, identities=chosen, workers=workers))
+        assert pools == sizes
+        assert [c.name for c in report.checks] == (chosen or names)
+        assert report.to_json()["config"]["workers"] == workers
+
+
+def test_every_exported_name_resolves():
+    # a name left in an __all__ after its definition went breaks
+    # `from siegeltheta.<module> import *`
+    modules = [siegeltheta] + [
+        importlib.import_module(f"siegeltheta.{info.name}")
+        for info in pkgutil.iter_modules(siegeltheta.__path__)
+        if info.name != "__main__"  # running it is the command line
+    ]
+    assert len(modules) == 9
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__
 
 
 def test_workers_pool_matches_serial_for_all_genus3_checks(capsys, tmp_path):

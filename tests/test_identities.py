@@ -10,8 +10,6 @@ from siegeltheta.siegel import SiegelPoint
 from siegeltheta.theta import (
     NearZeroThetanull,
     PointRecord,
-    QuarticForm,
-    SymmetricForm,
     TruncationError,
     _symmetrize,
     batch_moments,
@@ -324,35 +322,6 @@ def test_riemann_quartic_reports_the_largest_absolute_residual(genus):
     assert check.max_abs_residual == pytest.approx(worst, rel=1e-9)
 
 
-def test_identity_sweeps_build_no_forms_from_a_filled_record(monkeypatch):
-    # with every point record and its psi forms already made, a sweep is
-    # array arithmetic: no check builds a QuarticForm or a SymmetricForm,
-    # and the Gopel checks square their psi sums as one stack
-    built = []
-
-    def counting(init):
-        def counted(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-
-        return counted
-
-    for form in (QuarticForm, SymmetricForm):
-        monkeypatch.setattr(form, "__init__", counting(form.__init__))
-    plan = SamplePlan(seed=0, count=1)
-    for name, genus in (
-        ("second_order_system", 3),
-        ("transformation", 2),
-        ("gopel_quartet", 2),
-        ("gopel_single", 2),
-    ):
-        with identities.point_memo():
-            assert run_check(name, genus, plan).status == "pass"
-            built.clear()
-            assert run_check(name, genus, plan).status == "pass"
-            assert built == [], name
-
-
 def _negate_eta_00_01_on_second_sample(monkeypatch, plan):
     # the second sample is recognized by its theta_00; 00 and 01 are rows
     # 0 and 1 of the even record
@@ -417,15 +386,16 @@ def test_point_record_matches_direct_moments(genus):
                 assert not stacked.flags.writeable
         if order == 1:
             continue
-        for i, m in enumerate(moments):
-            psi = SymmetricForm(genus, m.t2 / m.value)
-            assert _bits(record.psi(i)) == _bits(psi.coefficients)
-            for j, n in enumerate(moments):
-                eta = np.linalg.det(SymmetricForm(genus, n.t2 / n.value).coefficients - psi.coefficients)
-                assert _bits(record.eta(i, j)) == _bits(eta)
+        # psi's reference mirrors the upper triangle, which adds 0.0 to
+        # every entry as the record's + 0.0 does
+        psis = [np.triu(q) + np.triu(q, 1).T for q in (m.t2 / m.value for m in moments)]
+        for i, (m, psi) in enumerate(zip(moments, psis)):
+            assert _bits(record.psi(i)) == _bits(psi)
+            for j, other in enumerate(psis):
+                assert _bits(record.eta(i, j)) == _bits(np.linalg.det(other - psi))
             if order == 4:
-                square = QuarticForm.from_quadratic_product(psi, psi)
-                assert _bits(record.psi_sq(i)) == _bits(square.coefficients)
+                square = _symmetrize(np.multiply.outer(psi, psi))
+                assert _bits(record.psi_sq(i)) == _bits(square)
                 q = m.t2 / m.value
                 delta_psi = _symmetrize(m.t4 / m.value - np.multiply.outer(q, q))
                 assert _bits(record.delta_psi(i)) == _bits(delta_psi)

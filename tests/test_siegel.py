@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from siegeltheta.siegel import (
     HalfSpaceError,
     SiegelPoint,
-    DerivationIndex,
     SymplecticMatrix,
     act,
     cocycle_factor,
@@ -50,13 +50,21 @@ def test_siegel_point_json_names_a_missing_field(missing):
         SiegelPoint.from_json(obj)
 
 
-def test_derivation_indices():
-    idx = DerivationIndex.all_for_genus(3)
-    assert len(idx) == 6
-    assert DerivationIndex(1, 1).is_diagonal
-    assert not DerivationIndex(1, 2).is_diagonal
-    with pytest.raises(ValueError):
-        DerivationIndex(2, 1)
+@pytest.mark.parametrize("entry", [complex(math.nan, 1.0), complex(math.inf, 1.0),
+                                   complex(-math.inf, 1.0), complex(0.0, math.nan),
+                                   complex(0.0, math.inf)])
+def test_siegel_point_rejects_non_finite_entries(entry):
+    # a non-finite Re tau would give nan thetas beside a finite tail bound
+    with pytest.raises(HalfSpaceError, match="finite entries"):
+        SiegelPoint(1, np.array([[entry]]))
+    with pytest.raises(HalfSpaceError, match="finite entries"):
+        SiegelPoint(2, np.array([[1j, entry], [0.0, 1j]]))
+
+
+def test_siegel_point_json_names_a_malformed_entry():
+    obj = {"genus": 1, "tau": [[[0.0, 1.0, 5.0]]]}
+    with pytest.raises(ValueError, match=r"tau must be a matrix of \[re, im\] pairs"):
+        SiegelPoint.from_json(obj)
 
 
 def test_symplectic_validation():
