@@ -89,6 +89,8 @@ prefix of them.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import itertools
 import math
 from dataclasses import dataclass
@@ -135,6 +137,16 @@ _TREE_MIN_TERMS = 4096
 #: most summed lattice points a group of cosets shares in one pass: its
 #: exponentials fill at most one block
 _GROUP_POINTS = _BLOCK_BYTES // 16
+
+# glibc's malloc maps the kernel's temporaries of 0.1-1 MiB afresh and gives
+# them back when freed: a genus-2 campaign round took 2 600 to 22 000 more
+# page faults than with fixed thresholds, by the order in which they died.
+# A malloc without mallopt keeps its own policy.
+with contextlib.suppress(AttributeError, OSError, TypeError):
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD: map from 4 MiB
+    _mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD: trim above 8 MiB
 
 
 class TruncationError(ValueError):

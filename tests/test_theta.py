@@ -1,8 +1,12 @@
 import itertools
 import math
 import operator
+import os
+import platform
+import subprocess
 import sys
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -967,6 +971,34 @@ def test_moments_arrays_are_read_only():
             array[(0,) * array.ndim] = 1.0
     with pytest.raises(ValueError):
         mom.t2[0, 1] = 0.0
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc thresholds are glibc's")
+def test_repeated_kernel_call_faults_in_no_pages():
+    # the malloc thresholds set on import keep a call's freed temporaries
+    # in the heap, so the same call again takes no page faults; glibc's
+    # own thresholds give these temporaries back, and a fresh process
+    # then refaults about 300 pages on every call.  A fresh process, so
+    # that no earlier test has moved glibc's dynamic thresholds
+    code = """if True:
+        import resource
+        import numpy as np
+        from siegeltheta.characteristics import enumerate_characteristics
+        from siegeltheta.siegel import SiegelPoint
+        from siegeltheta.theta import batch_moments
+        tau = SiegelPoint(2, np.array([[0.3 + 0.03j, 0.1 + 0.0075j], [0.1 + 0.0075j, -0.2 + 0.045j]]))
+        chars = enumerate_characteristics(2, "all")
+        batch_moments(chars, tau)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(3):
+            batch_moments(chars, tau)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """
+    src = str(Path(kernel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 30
 
 
 # ----------------------------------------------------------------------
