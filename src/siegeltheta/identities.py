@@ -243,7 +243,7 @@ def point_memo():
         _POINTS.reset(token)
 
 
-def _point(tau: SiegelPoint, eps: float, order: int = 2, positions=None) -> PointRecord:
+def _point(tau: SiegelPoint, eps: float, order: int = 2, positions=None, shared: bool = True) -> PointRecord:
     """z = 0 data at one tau from one batch of moments: the PointRecord of
     the characteristics at positions in char_table (every even one by
     default), to the given order, its rows in that order.
@@ -251,9 +251,10 @@ def _point(tau: SiegelPoint, eps: float, order: int = 2, positions=None) -> Poin
     Inside point_memo (a campaign) the record is made once per (tau,
     eps, order, positions) and shared, and the batch is dropped once
     stacked; the key holds the order, since a higher order takes a
-    larger box and so other bits.  A call that raises stores nothing,
-    and outside point_memo nothing is kept.  Shared records are
-    read-only: their arrays refuse writes."""
+    larger ellipsoid and so other bits.  Nothing is kept from a call
+    that raises, outside point_memo, or with shared False (a point no
+    other check reads).  Shared records are read-only: their arrays
+    refuse writes."""
     table = char_table(tau.genus)
     positions = table.even if positions is None else tuple(positions)
     memo = _POINTS.get()
@@ -263,7 +264,7 @@ def _point(tau: SiegelPoint, eps: float, order: int = 2, positions=None) -> Poin
     chars = [table.chars[i] for i in positions]
     moments = batch_moments(chars, tau, eps, order=order)
     record = PointRecord.stack(moments[a] for a in chars)
-    if memo is not None:
+    if memo is not None and shared:
         memo[key] = record
     return record
 
@@ -499,7 +500,7 @@ def check_transformation_laws(
 
     Words whose cocycle pushes a transformed sample too deep into the
     half-space (tiny smallest eigenvalue of the imaginary part, hence an
-    enormous certified box) are deterministically resampled; the law is
+    enormous certified ellipsoid) are deterministically resampled; the law is
     checked where evaluation is affordable.  The tolerance is at least
     TRANSFORMATION_TOL."""
     check = IdentityCheck(
@@ -532,7 +533,7 @@ def check_transformation_laws(
                 data0 = _point(tau, eps)
                 untransformed[k] = data0, _pair_laws(data0)
             data0, (m0, eta0) = untransformed[k]
-            data1 = _point(gtau, eps)
+            data1 = _point(gtau, eps, shared=False)
             m1, eta1 = _pair_laws(data1)
             rhs, eta1_rhs = cmat @ m0 @ cmat.T, detc2 * eta0
             check.add(  # per pair: [congruence, weight 2]

@@ -5,11 +5,13 @@ The series evaluated here is
     theta_a(z, tau) = sum_{n in Z^g} exp( pi i (n+a'/2)^t tau (n+a'/2)
                                           + 2 pi i (n+a'/2)^t (z+a''/2) ),
 
-truncated to the box |n_j + a'_j/2| <= N.  Every term with m = n + a'/2
-satisfies |term| <= exp(-pi lam |m|^2 + 2 pi r |m|) where lam is the
-smallest eigenvalue of Im(tau) and r = |Im z|; the discarded tail is
-bounded by a product of one-dimensional Gaussian sums, so each returned
-value carries a certified absolute truncation bound.
+truncated with a certified absolute bound on what is left out.  The term
+of m = n + a'/2 has modulus exp(-pi q(m) - 2 pi m^t Im z) with
+q(m) = m^t (Im tau) m.  Without a z term (z None or zero) the sum runs
+over the ellipsoid q(m) <= r2 (_Ellipsoid), r2 the root of a closed-form
+tail bound (_ellipsoid_radius2), a fraction of a box at a deep point.
+With a z term it runs over the box |n_j + a'_j/2| <= N, the tail bounded
+by one-dimensional Gaussian sums (_radius_scan, _AxisSums).
 
 Derivatives come from the same lattice sum: d/dz_j brings a per-term
 factor 2 pi i m_j, and the heat equation makes the normalized tau
@@ -34,57 +36,32 @@ sorted index tuples in lexicographic order, with the map from each of the
 g^k index tuples to its monomial.  One batch loop, _sums, does every
 lattice sum, and a kernel call is one pass of it over its point:
 theta_jet, theta_values and batch_moments choose only the degrees and
-the eps per weight.  _sums scans the radii of every a' coset
-(_radius_scan, all cosets reading one _AxisSums) before it builds any
-lattice, taking the largest over the weights of the first radius that
-certifies each (eps, eps/2pi, eps/(2pi)^2 for a jet's value, gradient
-and Hessian; eps for each moment weight).  A box (2N+1)^g above 2^20
-points raises TruncationError before any allocation.  _group_sums then
-returns, per degree k in (0, 1, 2, 4), the exactly rounded sums of
-m_j ... m_p term(m) in that order for the characteristics of a group of
-consecutive cosets: their lattices are concatenated into one
-_exp_terms while the group holds at most 2^14 summed points, and a
-deeper box runs alone.
+the eps per weight (eps, eps/2pi, eps/(2pi)^2 for a jet's value,
+gradient and Hessian; eps for each moment weight), and the truncation
+certifies every weight.  Every a' coset is counted before any lattice is
+built; one of more than 2^20 points raises TruncationError.
+_group_sums then returns, per degree k in (0, 1, 2, 4), the exactly
+rounded sums of m_j ... m_p term(m) in that order for the
+characteristics of a group of consecutive cosets: their lattices are
+concatenated into one _exp_terms while the group holds at most 2^14
+summed points, and a deeper coset runs alone.
 
 Each sum is exactly rounded: it has the bits math.fsum gives its terms,
 so it is reproducible bitwise and does not depend on the order of its
-terms, nor on the group its coset was summed in.  _group_sums writes the
-real and imaginary parts of its weighted rows into blocks of at most
-256 KiB (a shorter row padded with -0.0), and _two_sum_tree sums each
-block with a vectorized TwoSum tree, giving each row's sum as a rounded
-value r and remainder f within a proven bound.  _row_sums keeps r where
-the bound proves it to be fsum's; the rest, and every block too small
-for the tree to pay, go to fsum row by row.
+terms, nor on the group its coset was summed in.  Blocks of weighted
+rows are summed by a vectorized TwoSum tree (_two_sum_tree, _row_sums),
+and a coset of several characteristics forms each weighted row once,
+summed by parity class and combined per characteristic
+(_class_combination), each kept where a proven bound shows it to be
+fsum's; the rest go to fsum.
 
-A coset of several characteristics forms each weighted row once, not
-once per characteristic.  For m = n + a'/2 the phase of a'' is
-i^|a| (-1)^(n.a''), so the sum of a is i^|a| sum_c (-1)^(c.a'') S_c
-over the 2^g parity classes c = n mod 2, S_c the sum over the points of
-class c.  The rows are formed over the box ordered by class and summed
-class by class, each S_c kept double-length as the tree's (r, f), and
-_class_combination sums the signed (r, f) of each characteristic,
-keeping the result where its bound proves it to be the exactly rounded
-sum.  Every other sum is summed from its own row, in one stream: those
-of a coset whose classes would form no fewer rows (a coset of one
-characteristic, as in every theta_jet), and those the bound leaves open
-(a zero, a last bit too close to call).  So every bit is as the rows
-per characteristic give it.
-
-Without a z term the sum is folded over m <-> -m: the box is symmetric,
-and for a monomial of degree k the weighted term of -m is
+Without a z term the sum is folded over m <-> -m: the ellipsoid is
+symmetric, and for a monomial of degree k the weighted term of -m is
 (-1)^(|a| + k) times that of m, bit for bit.  So a degree with |a| + k
-odd is exactly 0 and is returned as +0.0 without summing (odd
-characteristics give value and Hessian exactly 0 at z = 0, even ones
-give gradient exactly 0), and every other sum is the exactly rounded
-sum of the origin term once and of twice the terms after it.  Doubling
-is exact and leaves the exact sum as it was, so the fold returns the
-bits of the full-box sum from half the exponentials.  The half box
-splits into the same parity classes, so the class sums serve the fold
-too.
-
-The radius scan builds the one-dimensional Gaussian terms of each
-(lambda, parity) once (_AxisSums) and takes each radius's sum from a
-prefix of them.
+odd is exactly 0 and is returned as +0.0 without summing, and every
+other sum is the exactly rounded sum of the origin term once and of
+twice the terms of one point of each pair m, -m, with the bits of the
+whole ellipsoid's sum from half the exponentials.
 """
 
 from __future__ import annotations
@@ -287,11 +264,7 @@ def _radius_scan(
     the eps of the first weight still open.  axis, when given, is the
     _AxisSums of z, shared by the scans of one point.
     """
-    if not all(0 < e < math.inf for e in eps_by_weight.values()):
-        raise ValueError("eps must be finite and positive")
-    lam = tau.lambda_min
-    if lam <= PD_MARGIN:
-        raise HalfSpaceError("Im(tau) is not positive definite with margin")
+    lam = _checked_lambda(tau, eps_by_weight)
     if axis is None:
         axis = _AxisSums(_imag_norm(z, tau.genus))
     open_weights = list(eps_by_weight)
@@ -307,26 +280,86 @@ def _radius_scan(
                           f"eps={eps_by_weight[open_weights[0]]:g} (lambda_min={lam:g})")
 
 
+def _checked_lambda(tau: SiegelPoint, eps_by_weight: dict) -> float:
+    """lambda_min of tau, once eps and the margin of tau are checked."""
+    if not all(0 < e < math.inf for e in eps_by_weight.values()):
+        raise ValueError("eps must be finite and positive")
+    lam = tau.lambda_min
+    if lam <= PD_MARGIN:
+        raise HalfSpaceError("Im(tau) is not positive definite with margin")
+    return lam
+
+
+#: the Rankin exponents t over which _ellipsoid_radius2 minimises its bound
+_THETAS = (0.01, 0.02, 0.03, 0.05, 0.07, 0.1, 0.14, 0.2, 0.27, 0.35, 0.45, 0.55, 0.65, 0.75)
+
+
+def _ellipsoid_radius2(genus: int, lam: float, eps_by_weight: dict) -> tuple[float, dict]:
+    """(r2, bounds): the least r2 of the closed form below at which every
+    weight w certifies its eps, and the bound of each at r2, on the sum
+    of |m|^w exp(-pi q(m)) over the points m of any coset Z^g + a'/2 with
+    q(m) = m^t Y m > r2, Y = Im tau of smallest eigenvalue lam.
+
+    Proof of the bound min over t in _THETAS of
+    C_w(h) (1 + 1/sqrt(h))^g exp(-pi (1 - t) r2) (Rankin's trick).
+    - For q > r2, exp(-pi q) <= exp(-pi (1 - t) r2) exp(-pi t q): the tail
+      is at most that factor times the sum of |m|^w exp(-pi t q).
+    - q >= lam |m|^2.  For w = 0, exp(-pi t q) <= exp(-pi h |m|^2) with
+      h = t lam, C_0 = 1.  For w >= 1, h = t lam / 2 and
+      |m|^w <= C_w(h) exp(pi h |m|^2), C_w(h) = (w / (2 pi e h))^(w/2) the
+      maximum of x^w exp(-pi h x^2) (the C_w of _box_tails), so
+      |m|^w exp(-pi t q) <= C_w(h) exp(-pi t q / 2) <= C_w(h) exp(-pi h |m|^2).
+    - exp(-pi h |m|^2) is a product over the axes, and the sum of
+      exp(-pi h x^2) over x in Z + s, any s, is at most 1 + 1/sqrt(h):
+      samples at unit spacing of a unimodal function sum to at most its
+      maximum plus its integral.
+    The bound decreases in r2 and does not depend on a'.  r2 is the
+    largest over w of the least over t of the root
+    (log prefactor - log eps) / (pi (1 - t)), at least 0, raised by 2^-40
+    relative and absolute, above the rounding of the closed form, and
+    again while a rounded bound exceeds its eps.
+    """
+    logs = []  # per t: pi (1 - t) and the log prefactor of each weight
+    for t in _THETAS:
+        h = t * lam / 2.0
+        axes = genus * math.log1p(1.0 / math.sqrt(h))
+        logs.append((math.pi * (1.0 - t), {
+            w: (w / 2.0) * math.log(w / (2.0 * math.pi * math.e * h)) + axes if w
+            else genus * math.log1p(1.0 / math.sqrt(2.0 * h)) for w in eps_by_weight}))
+    r2 = max(min((log[w] - math.log(eps)) / slope for slope, log in logs) for w, eps in eps_by_weight.items())
+    r2 = max(r2, 0.0) * (1.0 + 2.0**-40) + 2.0**-40
+    while True:
+        bounds = {w: math.exp(min(log[w] - slope * r2 for slope, log in logs)) for w in eps_by_weight}
+        if all(bounds[w] <= eps for w, eps in eps_by_weight.items()):
+            return r2, bounds
+        r2 *= 1.0 + 2.0**-30
+
+
 def truncation_radius(
     tau: SiegelPoint, z, eps: float, weight: int = 0, a: Characteristic | None = None
 ) -> TruncationResult:
-    """Smallest box radius N whose certified tail is <= eps.
+    """The certified truncation the kernel takes for one weight.
 
-    The tail bound covers sum of |m|^weight |term(m)| outside the box
-    |n_j + a'_j/2| <= N; weight 0 is the plain value.  Without an
-    explicit characteristic the bound dominates every parity pattern of
-    a'; with one it uses the exact per-axis parities (slightly tighter).
-    A box of more than _MAX_BOX_POINTS points raises TruncationError.
+    bound covers the sum of |m|^weight |term(m)| left out.  Without a z
+    term (z None or zero) the sum runs over the ellipsoid of _Ellipsoid,
+    and radius is the half-width of the box enclosing it; otherwise over
+    the box of the smallest radius N whose certified tail outside
+    |n_j + a'_j/2| <= N is <= eps, for no characteristic dominating every
+    parity pattern of a'.  A sum of more than _MAX_BOX_POINTS points (for
+    no characteristic, in any coset) raises TruncationError.
     """
+    if _nonzero_z(z, tau.genus) is None:
+        a_primes = [a.a_prime] if a else list(itertools.product((0, 1), repeat=tau.genus))
+        ball = _Ellipsoid(tau, {weight: eps}, a_primes)
+        return TruncationResult(ball.radius, ball.bounds[weight])
     shifts = ("any",) * tau.genus if a is None else a.a_prime
     nrad, bounds = _radius_scan(tau, z, shifts, {weight: eps})
     return TruncationResult(nrad, bounds[weight])
 
 
 def _imag_norm(z, genus: int) -> float:
-    """|Im z|; a non-finite z is refused, since no radius bounds its terms."""
-    if z is None:
-        return 0.0
+    """|Im z| of a z other than None; a non-finite z is refused, since no
+    radius bounds its terms."""
     zz = np.asarray(z, dtype=complex).reshape(genus)
     if not np.isfinite(zz).all():
         raise ValueError("z must have finite entries")
@@ -344,6 +377,133 @@ def _lattice_two_m(a_prime: tuple[int, ...], nrad: int) -> np.ndarray:
     low = np.array([2 * nrad - aj % 2 for aj in a_prime], dtype=np.int64)
     index = np.indices([2 * nrad + 1 - aj % 2 for aj in a_prime], dtype=np.int64)
     return 2 * index.reshape(len(a_prime), -1).T - low
+
+
+def _ldl(y: list) -> tuple[list, list, list]:
+    """(d, l, v): y = l diag(d) l^t with l unit lower triangular, and v the
+    diagonal of y^-1 = l^-t diag(d)^-1 l^-1, in Python floats: a fixed
+    order of operations, whatever the BLAS."""
+    g = len(y)
+    l = [[float(i == j) for j in range(g)] for i in range(g)]
+    inv = [[float(i == j) for j in range(g)] for i in range(g)]
+    d = []
+    for j in range(g):
+        d.append(y[j][j] - sum(l[j][k] * l[j][k] * d[k] for k in range(j)))
+        for i in range(j + 1, g):
+            l[i][j] = (y[i][j] - sum(l[i][k] * l[j][k] * d[k] for k in range(j))) / d[j]
+    for i in range(g):
+        for j in range(i):
+            inv[i][j] = -sum(l[i][k] * inv[k][j] for k in range(j, i))
+    return d, l, [sum(inv[k][j] ** 2 / d[k] for k in range(j, g)) for j in range(g)]
+
+
+def _quadratic(y: list, m: list) -> np.ndarray:
+    """fl(m^t y m) for the columns m_j of a set of points, as
+    sum_j m_j (sum_l y_jl m_l), each sum from the left: even in m bit for
+    bit, since -m negates every partial sum of the inner sums exactly."""
+    out = 0.0
+    for j, row in enumerate(y):
+        s = row[0] * m[0]
+        for yl, ml in zip(row[1:], m[1:]):
+            s = s + yl * ml
+        out = out + m[j] * s
+    return out
+
+
+class _Ellipsoid:
+    """The points the z = 0 series sums for the a' cosets of one call:
+    the m in Z^g + a'/2 with fl(q(m)) <= limit (_quadratic), one of each
+    pair m, -m, in parity-class order.
+
+    r2 and bounds are _ellipsoid_radius2's, limit = r2 (1 + delta),
+    delta = 10^-9 + 8 (g + 1) u tr(Y) / lam, and radius, the half-width
+    of the box enclosing the ellipsoid, is at most _MAX_RADIUS.  The test
+    is conservative, every m with exact q(m) <= r2 passes it: for exact
+    m_j, |fl(q) - q| <= gamma_{2g} |m|^t |Y| |m| (Higham, "Accuracy and
+    Stability of Numerical Algorithms", 2002, sec. 3.1), and
+    |m|^t |Y| |m| <= (sum_j sqrt(Y_jj) |m_j|)^2 <= tr(Y) |m|^2
+    <= tr(Y) q / lam, so fl(q) <= r2 (1 + 2 (g + 1) u tr(Y) / lam) < limit.
+
+    Candidates come from the Fincke-Pohst bounds (Math. Comp. 44, 1985)
+    in doubled coordinates T = 2m: with Y = L D L^t (_ldl),
+    q = sum_i (d_i / 4) (T_i + C_i)^2, C_i = sum_{j>i} L_ji T_j, so
+    |T_i + C_i| <= H_i = sqrt(4 rem_i / d_i), rem_i being B less the terms
+    above i.  B = limit (1 + 4 delta) and each interval is widened by
+    (2^-20 + delta)(1 + |C_i| + H_i): a point with fl(q) <= limit has
+    q < limit (1 + 2 delta), and the factorization and the interval
+    arithmetic err by a few delta in that scale (tests check every point
+    of exact q <= r2 with rationals, at lam down to 5e-3).  The rows
+    start as the (coset, class) pairs, class c = n mod 2 read in binary
+    with n_1 high, so T_i runs over 4k + 2 c_i + a'_i; each level expands
+    every row at once, T_g first, keeping their order.  The fold takes
+    the top coordinate >= 0, and so each coordinate whose coordinates
+    above are all 0: one of each pair, and the origin (first in its
+    coset) once; the test is even in m.  Each coset's ellipsoid (twice
+    its half, less the origin) and every level's rows are counted before
+    a point is built; above _MAX_BOX_POINTS, TruncationError.
+    """
+
+    def __init__(self, tau: SiegelPoint, eps_by_weight: dict, a_primes: list):
+        genus, self.genus = tau.genus, tau.genus
+        lam = _checked_lambda(tau, eps_by_weight)
+        self.r2, self.bounds = _ellipsoid_radius2(genus, lam, eps_by_weight)
+        self.y = y = tau.tau.imag.tolist()
+        delta = 1e-9 + 8 * (genus + 1) * _U * sum(y[j][j] for j in range(genus)) / lam
+        self.limit = self.r2 * (1.0 + delta)
+        budget = self.limit * (1.0 + 4.0 * delta)
+        d, l, inverse = _ldl(y)
+        self.radius, eps = math.ceil(math.sqrt(budget * max(inverse))), next(iter(eps_by_weight.values()))
+        if self.radius > _MAX_RADIUS:
+            raise TruncationError(f"no radius up to {_MAX_RADIUS} certifies eps={eps:g} (lambda_min={lam:g})")
+        refusal = f"eps={eps:g} needs more than {_MAX_BOX_POINTS} lattice points (lambda_min={lam:g})"
+        classes = 2**genus
+        origin = np.arange(classes * len(a_primes))  # the (coset, class) row each row comes from
+        bits = (origin % classes >> np.arange(genus - 1, -1, -1)[:, None]) & 1
+        shift = 2 * bits + np.array(a_primes, dtype=np.int64).T[:, origin // classes] % 2  # T mod 4
+        rem, zero, fixed = budget, None, {}
+        for i in range(genus - 1, -1, -1):
+            shift_i, centre = shift[i, origin], 0.0
+            for j in range(i + 1, genus):  # C_i, from the left
+                centre = centre + l[j][i] * fixed[j]
+            h = np.sqrt(np.maximum(rem, 0.0) * (4.0 / d[i]))
+            pad = (2.0**-20 + delta) * (1.0 + np.abs(centre) + h)
+            lo = -centre - h - pad
+            lo = np.maximum(lo, 0.0) if zero is None else np.where(zero, np.maximum(lo, 0.0), lo)
+            first = np.ceil((lo - shift_i) / 4.0)
+            count = np.maximum(np.floor((-centre + h + pad - shift_i) / 4.0) - first + 1.0, 0.0).astype(np.int64)
+            first = first.astype(np.int64)
+            if i == 0:
+                break
+            if count.sum() > _MAX_BOX_POINTS:
+                raise TruncationError(refusal)
+            rows = np.repeat(np.arange(len(count)), count)
+            t = 4 * (np.arange(len(rows)) - np.repeat(np.cumsum(count) - count - first, count)) + shift_i[rows]
+            rem = rem - (d[i] / 4.0) * t * t if zero is None else rem[rows] - (d[i] / 4.0) * (t + centre[rows]) ** 2
+            zero = t == 0 if zero is None else zero[rows] & (t == 0)
+            fixed = {j: f[rows] for j, f in fixed.items()} | {i: t}
+            origin = origin[rows]
+        self._last = fixed, shift_i, first, count, origin
+        self.counts = np.bincount(origin // classes, count, len(a_primes)).astype(np.int64).tolist()
+        self._row_starts = np.searchsorted(origin, classes * np.arange(len(a_primes) + 1)).tolist()
+        if any(2 * n - (not any(a)) > _MAX_BOX_POINTS for a, n in zip(a_primes, self.counts)):
+            raise TruncationError(refusal)
+
+    def points(self, first: int, stop: int):
+        """(two_m, spans, sizes) for the cosets first to stop - 1: their
+        doubled points in turn, column-major, the (start, stop) of each
+        coset's rows and the sizes of its classes, [cosets, 2^g]."""
+        fixed, shift, low, count, origin = self._last
+        r0, r1 = self._row_starts[first], self._row_starts[stop]
+        count = count[r0:r1]
+        rows = np.repeat(np.arange(r0, r1), count)
+        t = 4 * (np.arange(len(rows)) - np.repeat(np.cumsum(count) - count - low[r0:r1], count)) + shift[rows]
+        columns = [t] + [fixed[j][rows] for j in range(1, self.genus)]
+        keep = _quadratic(self.y, [0.5 * col for col in columns]) <= self.limit
+        two_m = np.array([col[keep] for col in columns]).T  # column-major
+        classes = 2**self.genus
+        sizes = np.bincount(origin[rows][keep] - first * classes, minlength=(stop - first) * classes)
+        ends = np.cumsum(sizes.reshape(stop - first, classes).sum(axis=1)).tolist()
+        return two_m, list(zip([0] + ends[:-1], ends)), sizes.reshape(stop - first, classes)
 
 
 def _exp_terms(two_m: np.ndarray, tau: np.ndarray, z) -> np.ndarray:
@@ -525,13 +685,10 @@ def _row_sums(block: np.ndarray) -> list[float]:
     does.  Below that bound every partial sum of any order is below
     2^1000, and no step of the tree or of fsum overflows.
 
-    Two sizes are measured, not tuned per workload.  _group_sums caps a
-    block at _BLOCK_BYTES (256 KiB): the tree's temporaries add about 1.5
-    times the block, and caps of 2 MiB and 8 MiB raised the peak RSS of
-    a genus-2 campaign round from 42 to 47-48 MiB at the same speed.  A
-    block of fewer than _TREE_MIN_TERMS (4096) terms is fsum'd row by
-    row: each level of the tree costs a dozen numpy calls whatever its
-    size, and below about 3000 to 4000 terms fsum of the rows is faster.
+    Two sizes are measured: caps of 2 and 8 MiB for _BLOCK_BYTES raised
+    a genus-2 campaign round's peak RSS from 42 to 47-48 MiB at the same
+    speed, and below about 3000 to 4000 terms (_TREE_MIN_TERMS) fsum of
+    the rows beats the tree's dozen numpy calls per level.
     """
     rows, n = block.shape
     if rows * n < _TREE_MIN_TERMS or not _in_range(block):
@@ -582,12 +739,21 @@ def _box_points(a_prime, nrad: int) -> int:
     return math.prod(2 * nrad + 1 - aj % 2 for aj in a_prime)
 
 
-def _summed_box(a_prime, nrad: int, fold: bool) -> np.ndarray:
-    """The doubled lattice points of one box that are summed: every row
-    of _lattice_two_m, or with the fold the origin (present when a' = 0)
-    and the rows after it."""
-    two_m = _lattice_two_m(a_prime, nrad)
-    return two_m[len(two_m) // 2:] if fold else two_m
+def _box_group(group) -> tuple[np.ndarray, list, None]:
+    """(two_m, spans, None) for a group of boxes, given as (coset, radius,
+    bounds): their lattices concatenated, filled box by box and
+    column-major as _lattice_two_m lays them out (the matrix products of
+    _exp_terms round by the layout of their operands), and the (start,
+    stop) of each."""
+    sizes = [_box_points(coset[0].a_prime, nrad) for coset, nrad, _ in group]
+    ends = list(itertools.accumulate(sizes))
+    spans = list(zip([0] + ends[:-1], ends))
+    if len(group) == 1:
+        return _lattice_two_m(group[0][0][0].a_prime, group[0][1]), spans, None
+    two_m = np.empty((ends[-1], len(group[0][0][0].a_prime)), dtype=np.int64, order="F")
+    for (coset, nrad, _), (s, e) in zip(group, spans):
+        two_m[s:e] = _lattice_two_m(coset[0].a_prime, nrad)
+    return two_m, spans, None
 
 
 @lru_cache(maxsize=None)
@@ -661,10 +827,10 @@ def _class_layout(two_m: np.ndarray, a_prime) -> tuple[np.ndarray, np.ndarray, n
 
 
 @lru_cache(maxsize=128)
-def _small_class_layout(a_prime: tuple, nrad: int, fold: bool):
-    """_class_layout of a summed box, read-only, kept for boxes of at most
-    1024 points."""
-    order, classes, places, largest = _class_layout(_summed_box(a_prime, nrad, fold), a_prime)
+def _small_class_layout(a_prime: tuple, nrad: int):
+    """_class_layout of a box, read-only, kept for boxes of at most 1024
+    points."""
+    order, classes, places, largest = _class_layout(_lattice_two_m(a_prime, nrad), a_prime)
     return _frozen(order), _frozen(classes), _frozen(places), largest
 
 
@@ -698,93 +864,68 @@ def _block_sums(chunks, count: int, width: int):
             block = buffer[:2 * size]
 
 
-def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
+def _group_sums(group, lattice, z, tau: SiegelPoint, degrees, fold: bool):
     """Yield (a, {k: sums}, value bound, radius) for the characteristics of
     a group of consecutive a' cosets, each given as (coset, radius,
-    bounds, box points): per degree k, the exactly rounded sums of
-    m_j ... m_p term(m) over the coset's box, one per row of
-    _basis(g, k)[0].
+    bounds): per degree k, the exactly rounded sums of m_j ... m_p term(m)
+    over the coset's points, one per row of _basis(g, k)[0].
 
-    The lattices of the group are concatenated, so one _exp_terms serves
-    every coset.  Every term and weight is formed by the same elementwise
-    expression, from a lattice in the same column-major layout, as for
-    its box alone.  Each weight is exact whatever the order of its
-    product: the m are half-integers with |m_j| <= _MAX_RADIUS, so every
-    partial product of up to four of them is K/16 with |K| <= 800^4 <
-    2^39.
+    lattice is (two_m, spans, sizes): the group's points, coset by coset
+    and column-major, the (start, stop) of each coset's rows and the
+    sizes of each coset's classes, for the class-ordered points of
+    _Ellipsoid (None for boxes, which _class_layout orders).  Each term
+    and weight has the bits it has for its coset alone, and each weight
+    is exact: every partial product of up to four half-integers
+    |m_j| <= _MAX_RADIUS is K/16 with |K| <= 800^4 < 2^39.
 
     Each sum has one of two sources.
     - The class combination, for a coset whose classes pay (_coset_plan).
-      The phase of a'' is exact: for m = n + a'/2 it is
-      i^((2m).a'') = i^|a| (-1)^(n.a''), and (-1)^(n.a'') depends only on
-      the class c = n mod 2.  So with S_c the sum of w(m) term(m) over the
-      points of class c, the sum of a with weight w is
+      For m = n + a'/2 the phase of a'' is i^|a| (-1)^(n.a''), exactly,
+      so with S_c the sum of w(m) term(m) over the points of class
+      c = n mod 2, the sum of a with weight w is
       i^|a| sum_c (-1)^(c.a'') S_c, and the coset forms each weighted row
-      once, over its box ordered by class, where a sum per characteristic
-      forms it once for each.  The turns and signs are exact, so every
-      term of the sum of a is, up to its sign, the term of a class sum,
-      and the exact sums agree.  The rounded class sums do not: adding
-      them moves the last bit of about 40% of the sums.  So each class sum
-      is kept double-length: the class segments of the rows are summed
-      through the blocks by _two_sum_tree, which gives each S_c as r + f
-      within a bound, and _class_combination sums the signed r and f of
-      the classes and keeps the result where its bound proves it the
-      exactly rounded sum, which is fsum's.
+      once, not once per characteristic.  The exact sums agree; the
+      rounded class sums do not (adding them moves the last bit of about
+      40% of the sums).  So each S_c is kept double-length, as the r + f
+      that _two_sum_tree gives the class segments of the rows, and
+      _class_combination keeps the signed sum of the classes' r and f
+      where its bound proves it the exactly rounded sum, fsum's.
     - The own-row stream, for every other sum: those of the cosets whose
       classes do not pay (every theta_jet), and those the combination
       leaves open (a zero sum, one below 2^-900, one from a block holding
       inf or nan, one whose last bit the bound cannot settle).  Each is
-      summed from its own row w(m) term_a(m) by _row_sums, which gives
-      fsum's bits.  The stream runs coset by coset and characteristic by
-      characteristic, and its sums are placed by the same walk; one
-      characteristic's phased terms are alive at a time, each phased
-      once, and the rows of one degree are formed in one call and enter
-      the blocks one at a time.
+      summed from its own row w(m) term_a(m) by _row_sums, with fsum's
+      bits, one characteristic's phased terms alive at a time.
 
-    With fold (no z term) each box is folded over m <-> -m.  The box is
-    symmetric (row i of _lattice_two_m is minus row n-1-i), the exponent
-    of -m is bitwise that of m, the phase picks up (-1)^|a| and a weight
-    of degree k picks up (-1)^k.  So every sum of a degree with k + |a|
-    odd is exactly 0, returned as +0.0 + 0.0j, the bits fsum gives for
-    any zero sum; every other sum is the exactly rounded sum of the
-    origin term (present when a' = 0) once and of (weight * term) * 2
-    over the rows after it.  Doubling is exact, the exact sum is
-    unchanged, and it is rounded exactly, so the folded sums have the
-    bits of the full-box sums at half the exponentials and half the
-    summed terms.  The half box splits into the same classes, each
-    holding the origin once and its other points twice, so the class
-    identity holds for the folded sums as for the full ones.
+    With fold (no z term) the points are one of each pair m, -m of the
+    ellipsoid: the exponent of -m is bitwise that of m, the phase picks
+    up (-1)^|a| and a weight of degree k picks up (-1)^k.  So every sum of
+    a degree with k + |a| odd is exactly 0, returned as +0.0 + 0.0j, the
+    bits fsum gives for any zero sum; every other sum is the exactly
+    rounded sum of the origin term (first in its coset, when a' = 0) once
+    and of (weight * term) * 2 over the other points.  Doubling is exact,
+    so the folded sums have the bits of the sums over the whole
+    ellipsoid, and each class holds the origin once and its other points
+    twice, so the class identity holds for them too.
 
     _block_sums writes the real and imaginary parts of each stream's rows
     into blocks of at most _BLOCK_BYTES (at least one row): the class
     rows as many at once as fill a block, as wide as the group's largest
-    class, and the own rows as wide as its longest box.  A shorter row of
-    its own is padded with -0.0, which adds nothing to any sum, the sign
-    of a zero sum included, so a row's bits do not depend on its block; a
+    class, and the own rows as wide as its longest coset.  A shorter row
+    is padded with -0.0, which adds nothing to any sum, the sign of a
+    zero sum included, so a row's bits do not depend on its block; a
     class segment is padded with the zero term of a point that is not
     there (its zero sums fall back).
     """
     genus = tau.genus
-    spans, start = [], 0  # per coset: its rows of the group's lattice and its box points
-    for *_, n in group:
-        stop = start + (n - n // 2 if fold else n)
-        spans.append((start, stop, n))
-        start = stop
-    if len(group) == 1:
-        two_m = _summed_box(group[0][0][0].a_prime, group[0][1], fold)
-    else:
-        # filled box by box, so that one full box at a time is alive, and
-        # column-major as _lattice_two_m lays out a box: the matrix
-        # products of _exp_terms round by the layout of their operands
-        two_m = np.empty((start, genus), dtype=np.int64, order="F")
-        for (coset, nrad, *_), (s, e, _) in zip(group, spans):
-            two_m[s:e] = _summed_box(coset[0].a_prime, nrad, fold)
+    two_m, spans, sizes = lattice
     m = two_m.T.astype(np.float64, order="C") / 2.0  # one row per axis
     base = _exp_terms(two_m, tau.tau, z)
     if fold:
         multiplicity = np.full(len(two_m), 2.0)
-        for s, _, n in spans:
-            multiplicity[s] = 2.0 - n % 2  # the origin, when a' = 0
+        for (coset, *_), (s, _) in zip(group, spans):
+            if not any(coset[0].a_prime):
+                multiplicity[s] = 1.0  # the origin
 
     def weights(points, monomials):
         """The weights m_j ... m_p over points of monomials, one array each
@@ -822,16 +963,24 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
     if classed:
         # each classed coset's points by class, padded to the group's
         # largest class with a zero term
-        layouts = {i: _small_class_layout(group[i][0][0].a_prime, group[i][1], fold) if spans[i][2] <= 1024
-                   else _class_layout(two_m[slice(*spans[i][:2])], group[i][0][0].a_prime) for i in classed}
-        width = max(layout[3] for layout in layouts.values())
+        if sizes is None:
+            layouts = {i: _small_class_layout(group[i][0][0].a_prime, group[i][1])
+                       if spans[i][1] - spans[i][0] <= 1024
+                       else _class_layout(two_m[slice(*spans[i])], group[i][0][0].a_prime) for i in classed}
+            width = max(layout[3] for layout in layouts.values())
+            where = {}
+            for i, (order, classes, places, _) in layouts.items():
+                where[i] = np.full(width << genus, len(two_m))
+                where[i][classes * width + places] = spans[i][0] + order
+        else:  # the points come in class order
+            counts = sizes[classed]
+            width, grid = int(counts.max()), np.arange(counts.max())
+            starts = np.array([spans[i][0] for i in classed])[:, None] + np.cumsum(counts, axis=1) - counts
+            where = np.where(grid < counts[..., None], starts[..., None] + grid, len(two_m))
+            where = dict(zip(classed, where.reshape(len(classed), -1)))
         m, base = np.append(m, np.zeros((genus, 1)), axis=1), np.append(base, 0j)
         if fold:
             multiplicity = np.append(multiplicity, 0.0)
-        where = {}
-        for i, (order, classes, places, _) in layouts.items():
-            where[i] = np.full(width << genus, len(two_m))
-            where[i][classes * width + places] = spans[i][0] + order
         step = max(1, _BLOCK_BYTES // (16 * width) >> genus)
         rows = (split.reshape(-1, width) for i in classed for k in plans[i].ks
                 for split in weighted(where[i], _monomials(genus, k), base[where[i]], step))
@@ -862,7 +1011,7 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
 
     def own_rows():
         for i, numbers in own:
-            s, e, _ = spans[i]
+            s, e = spans[i]
             sums = summed[i][1]
             for pos, of_a in itertools.groupby(map(sums.__getitem__, numbers), itemgetter(0)):
                 t = base[s:e] * _phase_factors(two_m[s:e], group[i][0][pos].a_double_prime)
@@ -871,7 +1020,7 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
                     yield from weighted(slice(s, e), [monomials[j] for *_, j in of_k], t)
 
     redone = []
-    width = max(e - s for s, e, _ in spans)
+    width = max(e - s for s, e in spans)
     for block in _block_sums(own_rows(), sum(len(numbers) for _, numbers in own), width):
         flat = _row_sums(block)
         redone.extend(map(complex, flat[:len(flat) // 2], flat[len(flat) // 2:]))
@@ -880,7 +1029,7 @@ def _group_sums(group, z, tau: SiegelPoint, degrees, fold: bool):
         for n in numbers:
             values[i][n] = next(redone)
 
-    for (coset, nrad, bounds, _), (of_coset, _), sums in zip(group, summed, values):
+    for (coset, nrad, bounds), (of_coset, _), sums in zip(group, summed, values):
         start = 0
         for a, degrees_of_a in zip(coset, of_coset):
             out = {}
@@ -1026,38 +1175,38 @@ def _sums(chars, z, tau: SiegelPoint, eps_by_weight: dict, degrees):
     """Yield (a, sums, value bound, radius) for each a in chars, a' coset
     by a' coset in order of first appearance: one pass over the point.
 
-    One _AxisSums serves the _radius_scan of every coset, which all read
-    the same (lambda, parity) terms, and every coset is scanned before
-    any lattice is built, so a refused call allocates nothing.  The
-    cosets are then summed by _group_sums in groups of consecutive ones
-    holding at most _GROUP_POINTS summed points between them; a coset
-    above that is a group of its own.  Shallow cosets, where numpy and
-    Python call overhead rather than arithmetic sets the cost, share one
-    lattice, one _exp_terms and one block buffer.  The cap keeps
-    a deep box alone, so its lattice and exponentials are never held
-    beside another's: without it, the rounds of a genus-2 campaign
-    (whose transformation check sums deep boxes) peaked at 45.2 MiB
-    resident, against 42.5 MiB with it."""
+    Without a z term one _Ellipsoid certifies every weight and counts
+    every coset's points; otherwise one _AxisSums serves the _radius_scan
+    of every coset's box.  Either way every coset is counted before any
+    lattice is built, so a refused call allocates no points.  _group_sums
+    then sums groups of consecutive cosets of at most _GROUP_POINTS
+    summed points, so that shallow cosets, whose cost is call overhead,
+    share one lattice, _exp_terms and block buffer, and a deep coset runs
+    alone (sharing, the rounds of a genus-2 campaign peaked at 45.2 MiB
+    resident, against 42.5 MiB)."""
     cosets: dict[tuple, list[Characteristic]] = {}
     for a in dict.fromkeys(chars):
         if a.genus != tau.genus:
             raise ValueError("characteristic and point have different genus")
         cosets.setdefault(a.a_prime, []).append(a)
-    axis = _AxisSums(_imag_norm(z, tau.genus))
-    scans = [(coset, *_radius_scan(tau, z, a_prime, eps_by_weight, axis))
-             for a_prime, coset in cosets.items()]
     fold = _nonzero_z(z, tau.genus) is None
-    group, points = [], 0
-    for coset, nrad, bounds in scans:
-        n = _box_points(coset[0].a_prime, nrad)
-        size = n - n // 2 if fold else n
-        if group and points + size > _GROUP_POINTS:
-            yield from _group_sums(group, z, tau, degrees, fold)
-            group, points = [], 0
-        group.append((coset, nrad, bounds, n))
+    if fold:
+        ball = _Ellipsoid(tau, eps_by_weight, list(cosets))
+        entries = [(coset, ball.radius, ball.bounds) for coset in cosets.values()]
+        sizes, lattice = ball.counts, ball.points
+    else:
+        axis = _AxisSums(_imag_norm(z, tau.genus))
+        entries = [(coset, *_radius_scan(tau, z, a_prime, eps_by_weight, axis))
+                   for a_prime, coset in cosets.items()]
+        sizes = [_box_points(coset[0].a_prime, nrad) for coset, nrad, _ in entries]
+        lattice = lambda first, stop: _box_group(entries[first:stop])  # noqa: E731
+    first, points = 0, 0
+    for i, size in enumerate(sizes):
+        if i > first and points + size > _GROUP_POINTS:
+            yield from _group_sums(entries[first:i], lattice(first, i), z, tau, degrees, fold)
+            first, points = i, 0
         points += size
-    if group:
-        yield from _group_sums(group, z, tau, degrees, fold)
+    yield from _group_sums(entries[first:], lattice(first, len(entries)), z, tau, degrees, fold)
 
 
 def theta_jet(a: Characteristic, z, tau: SiegelPoint, eps: float = DEFAULT_EPS) -> ThetaJet:

@@ -462,6 +462,14 @@ def test_point_records_are_shared_only_inside_a_point_memo(monkeypatch):
         assert len(identities._POINTS.get()) == 3
     assert identities._POINTS.get() is None
 
+def test_transformed_points_stay_out_of_the_memo():
+    # no other check reads the records of the transformed points
+    plan = SamplePlan(seed=0, count=2)
+    with identities.point_memo():
+        assert run_check("transformation", 1, plan).status == "pass"
+        assert len(identities._POINTS.get()) == plan.count
+
+
 #: the checks that read psi of 33 there, and those that read no psi or
 #: only that of 00-03
 _READS_PSI_33 = ("second_order_system", "odd_gradient_squared", "odd_gradient_fourth",

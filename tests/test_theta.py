@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
@@ -13,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import THETA00_AT_I, mp_theta, mp_theta_moment, mp_theta_tail
+from oracles import THETA00_AT_I, mp_theta, mp_theta_moment, mp_theta_moments, mp_theta_tail
 
 from siegeltheta import theta as kernel
 from siegeltheta.characteristics import Characteristic, enumerate_characteristics
-from siegeltheta.siegel import SiegelPoint
+from siegeltheta.identities import SamplePlan
+from siegeltheta.siegel import SiegelPoint, act, random_gamma_48
 from siegeltheta.theta import (
     Moments,
     NearZeroThetanull,
@@ -120,17 +122,22 @@ def test_truncation_radius_rejects_bad_eps():
         theta_jet(Characteristic(1, (0,), (0,)), None, TAU_I, math.nan)
 
 
-def test_truncation_radius_refuses_box_beyond_point_budget():
-    # radius arithmetic only: no lattice is allocated.  Without the budget
-    # this genus-3 point needs radius 186, a box of 5.2e7 points.
+def test_truncation_radius_refuses_sums_beyond_point_budget():
+    # interval arithmetic only: no point is built.  Without the budget
+    # this genus-3 point needs an ellipsoid of about 1.4e7 points, and at
+    # z != 0 a box of about 5e7
     zero3 = Characteristic(3, (0, 0, 0), (0, 0, 0))
-    with pytest.raises(TruncationError, match="lattice points"):
-        truncation_radius(SiegelPoint(3, 1e-3j * np.eye(3)), None, 1e-14, weight=4, a=zero3)
-    # the budget counts points, not radius: the same depth at genus 2
-    # needs radius 179, a box of 359^2 points, and is accepted
+    for z in (None, np.full(3, 0.01j)):
+        with pytest.raises(TruncationError, match="lattice points"):
+            truncation_radius(SiegelPoint(3, 1e-3j * np.eye(3)), z, 1e-14, weight=4, a=zero3)
+    # the budget counts points, not radius: the same depth at genus 2 is
+    # accepted, a disc of radius 144 at z = 0 and a box of 365^2 points
+    # at z != 0
     zero2 = Characteristic(2, (0, 0), (0, 0))
     res = truncation_radius(SiegelPoint(2, 1e-3j * np.eye(2)), None, 1e-14, weight=4, a=zero2)
-    assert res.radius == 179 and res.bound <= 1e-14
+    assert res.radius == 144 and res.bound <= 1e-14
+    res = truncation_radius(SiegelPoint(2, 1e-3j * np.eye(2)), np.full(2, 1e-3j), 1e-14, weight=4, a=zero2)
+    assert res.radius == 182 and res.bound <= 1e-14
 
 
 def test_truncation_radius_refuses_terms_beyond_the_float_range():
@@ -162,10 +169,14 @@ def test_box_radius_is_the_largest_per_weight_radius():
         pt = _random_point(genus, 2000 + seed)
         pt = SiegelPoint(genus, pt.tau.real + 1j * rng.uniform(0.05, 1.0) * pt.tau.imag)
         z = rng.uniform(-0.3, 0.3, genus) + 1j * rng.uniform(-0.3, 0.3, genus)
-        z = None if seed % 2 else z
         chars = enumerate_characteristics(genus)
         a = chars[seed % len(chars)]
         for eps_by_weight in eps_sets:
+            # without z one r2 certifies every weight: the largest of theirs
+            own = [kernel._ellipsoid_radius2(genus, pt.lambda_min, {w: e}) for w, e in enumerate(eps_by_weight)]
+            r2, bounds = kernel._ellipsoid_radius2(genus, pt.lambda_min, dict(enumerate(eps_by_weight)))
+            assert r2 == max(r for r, _ in own)
+            assert all(bounds[w] <= own[w][1][w] for w in range(len(own)))
             own = [truncation_radius(pt, z, e, w, a) for w, e in enumerate(eps_by_weight)]
             assert [r.radius for r in own] == [
                 _first_certified_radius(pt, z, e, w, a) for w, e in enumerate(eps_by_weight)
@@ -628,12 +639,32 @@ def test_phase_factors_are_exact_units():
 
 
 # ----------------------------------------------------------------------
-# the z = 0 fold
+# the z = 0 ellipsoid and its fold
 # ----------------------------------------------------------------------
 
 def _full_box_sums(a, z, tau, nrad, monomials):
-    """Reference without the fold: fsum over every row of the box."""
-    two_m = _lattice_two_m(a.a_prime, nrad)
+    """Reference at z != 0: fsum over every row of the box."""
+    return _fsum_sums(_lattice_two_m(a.a_prime, nrad), a, z, tau, monomials)
+
+
+def _ellipsoid_points(a_prime, tau, eps_by_weight):
+    """The doubled points of the z = 0 sum by brute force: every point of
+    a box wider than the enclosing one that passes the kernel's test
+    fl(q) <= limit, in column-major layout, as the kernel lays them out."""
+    ball = kernel._Ellipsoid(tau, eps_by_weight, [a_prime])
+    two_m = _lattice_two_m(a_prime, ball.radius + 2)
+    keep = kernel._quadratic(ball.y, list(two_m.T / 2.0)) <= ball.limit
+    return np.asfortranarray(two_m[keep])
+
+
+def _ellipsoid_sums(a, tau, eps_by_weight, monomials):
+    """Reference at z = 0, without the fold: fsum over every point of the
+    ellipsoid, found by brute force."""
+    return _fsum_sums(_ellipsoid_points(a.a_prime, tau, eps_by_weight), a, None, tau, monomials)
+
+
+def _fsum_sums(two_m, a, z, tau, monomials):
+    """fsum of the weighted terms of a over the doubled points two_m."""
     m = two_m.astype(np.float64) / 2.0
     t = _exp_terms(two_m, tau.tau, z) * _phase_factors(two_m, a.a_double_prime)
     out = {}
@@ -665,16 +696,19 @@ def test_lattice_box_is_symmetric_under_negation():
         assert (len(two_m) % 2 == 1) == (not any(a_prime))
 
 
-def _assert_full_box_bits(pt, chars, orders, zs):
+def _assert_reference_bits(pt, chars, orders, zs):
     """batch_moments at each order, and theta_values and theta_jet at each
-    z, have the bits of _full_box_sums at the radius each one chose."""
+    z, have the bits of fsum over the points they sum: the brute-force
+    ellipsoid of their eps at z = 0, the box of the radius each chose
+    otherwise."""
     genus = pt.genus
     two_pi = 2.0 * math.pi
+    jet_eps = {w: 1e-14 / two_pi**w for w in (0, 1, 2)}
     for order in orders:
         moments = batch_moments(chars, pt, order=order)
         for a in chars:
             mom = moments[a]
-            ref = _full_box_sums(a, None, pt, mom.radius, _monomials(genus, order))
+            ref = _ellipsoid_sums(a, pt, dict.fromkeys(range(order + 1), 1e-14), _monomials(genus, order))
             assert _hex(mom.value) == _hex(ref[()])
             assert _hex(mom.t1) == _hex([ref[(j,)] for j in range(genus)])
             if order >= 2:
@@ -685,12 +719,19 @@ def _assert_full_box_bits(pt, chars, orders, zs):
                 assert _hex(mom.t4) == _hex(t4)
     for z in zs:
         values = theta_values(chars, z, pt)
+        at_zero = z is None or not np.any(z)
         for a in chars:
-            nrad = truncation_radius(pt, z, 1e-14, 0, a).radius
-            assert _hex(values[a]) == _hex(_full_box_sums(a, z, pt, nrad, [()])[()])
+            if at_zero:
+                ref = _ellipsoid_sums(a, pt, {0: 1e-14}, [()])
+            else:
+                ref = _full_box_sums(a, z, pt, truncation_radius(pt, z, 1e-14, 0, a).radius, [()])
+            assert _hex(values[a]) == _hex(ref[()])
             jet = theta_jet(a, z, pt)
-            nrad = max(truncation_radius(pt, z, 1e-14 / two_pi**w, w, a).radius for w in (0, 1, 2))
-            ref = _full_box_sums(a, z, pt, nrad, _monomials(genus, 2))
+            if at_zero:
+                ref = _ellipsoid_sums(a, pt, jet_eps, _monomials(genus, 2))
+            else:
+                nrad = max(truncation_radius(pt, z, e, w, a).radius for w, e in jet_eps.items())
+                ref = _full_box_sums(a, z, pt, nrad, _monomials(genus, 2))
             assert _hex(jet.value) == _hex(ref[()])
             assert _hex(jet.z_gradient) == _hex([2j * math.pi * ref[(j,)] for j in range(genus)])
             hess = [(2j * math.pi) ** 2 * ref[tuple(sorted((j, l)))]
@@ -699,9 +740,101 @@ def _assert_full_box_bits(pt, chars, orders, zs):
 
 
 @pytest.mark.parametrize("genus", [1, 2, 3])
-def test_folded_sums_match_full_box_bitwise(genus):
+def test_folded_sums_match_the_whole_ellipsoid_bitwise(genus):
     pt = _random_point(genus, 40 + genus)
-    _assert_full_box_bits(pt, enumerate_characteristics(genus), (1, 2, 4), (None, np.zeros(genus)))
+    _assert_reference_bits(pt, enumerate_characteristics(genus), (1, 2, 4), (None, np.zeros(genus)))
+
+
+def _transformed(word, length, sample):
+    """act(gamma, tau) at genus 2 for the level-(4,8) word random_gamma_48(word,
+    length) and sample tau of SamplePlan(seed=0, count=3), as the
+    transformation check draws them."""
+    return act(random_gamma_48(word, length, 2), SamplePlan(seed=0, count=3).tau_points(2)[sample])
+
+
+#: deep transformed genus-2 points: lambda_min 0.0057 (the other
+#: eigenvalue 0.33), 0.0058 (and 0.011), 0.0071 (and 1.1) and 0.0078 (and
+#: 0.16, with |Re tau| up to 16)
+_DEEP_WORDS = ((9, 1, 0), (3, 1, 1), (13, 2, 1), (20, 3, 1))
+
+
+def _certificate_points():
+    """A dozen tau at genus 1 to 3: deep transformed points, isotropic
+    Im tau, and random points at several depths."""
+    points = [_transformed(*word) for word in _DEEP_WORDS]
+    points += [SiegelPoint(g, 0.1 + 1j * lam * np.eye(g)) for g, lam in ((1, 0.005), (2, 0.02), (3, 0.3))]
+    for g, seed, lam in ((1, 1, 0.8), (2, 2, 0.05), (2, 3, 1.0), (3, 4, 0.25), (3, 5, 0.8)):
+        pt = _random_point(g, 300 + seed)
+        points.append(SiegelPoint(g, pt.tau.real + 1j * (lam / pt.lambda_min) * pt.tau.imag))
+    return points
+
+
+@pytest.mark.parametrize("index", range(12))
+def test_ellipsoid_tail_bound_dominates_the_true_tail(index):
+    # sum over q(m) > r2 of |m|^w exp(-pi q(m)), brute force over a box
+    # twice as wide as the enclosing one (beyond it q > 4 r2), per coset
+    pt = _certificate_points()[index]
+    g, y = pt.genus, pt.tau.imag
+    for w in (0, 1, 2, 4):
+        for eps in (1e-6, 1e-14):
+            res = truncation_radius(pt, None, eps, w)
+            r2, bounds = kernel._ellipsoid_radius2(g, pt.lambda_min, {w: eps})
+            assert res.bound == bounds[w] <= eps
+            for a_prime in itertools.product((0, 1), repeat=g):
+                m = _lattice_two_m(a_prime, 2 * res.radius) / 2.0
+                q = np.einsum("bj,jl,bl->b", m, y, m)
+                out = q > r2
+                tail = math.fsum((np.linalg.norm(m[out], axis=1) ** w * np.exp(-math.pi * q[out])).tolist())
+                assert tail <= res.bound
+
+
+@pytest.mark.parametrize("index", range(12))
+def test_ellipsoid_enumerates_every_point_of_exact_q_within_r2_once_in_class_order(index):
+    pt = _certificate_points()[index]
+    g = pt.genus
+    a_primes = list(itertools.product((0, 1), repeat=g))
+    ball = kernel._Ellipsoid(pt, {0: 1e-14, 4: 1e-14}, a_primes)
+    two_m, spans, sizes = ball.points(0, len(a_primes))
+    assert two_m.flags.f_contiguous
+    y = [[Fraction(v) for v in row] for row in pt.tau.imag.tolist()]
+    r2 = Fraction(ball.r2)
+    origin = (0,) * g
+    for a_prime, (s, e), size in zip(a_primes, spans, sizes):
+        half = two_m[s:e]
+        classes = ((half - np.array(a_prime)) // 2 % 2) @ (1 << np.arange(g)[::-1])
+        assert classes.tolist() == np.repeat(np.arange(2**g), size).tolist()
+        kept = set(map(tuple, half.tolist()))
+        negated = {tuple(-t for t in p) for p in kept}
+        assert len(kept) == len(half)
+        assert kept & negated == ({origin} if not any(a_prime) else set())
+        assert any(a_prime) or tuple(half[0]) == origin
+        # the kept points and their negatives are the brute-force filter
+        box = _lattice_two_m(a_prime, ball.radius + 2)
+        assert kept | negated == set(map(tuple, box[kernel._quadratic(ball.y, list(box.T / 2.0)) <= ball.limit].tolist()))
+        # and hold every point of exact q <= r2 (a float q above 1.01 r2
+        # is far from it)
+        m = box / 2.0
+        near = box[np.einsum("bj,jl,bl->b", m, pt.tau.imag, m) <= 1.01 * ball.r2].tolist()
+        inside = [p for p in near
+                  if sum(Fraction(p[j], 2) * y[j][l] * Fraction(p[l], 2) for j in range(g) for l in range(g)) <= r2]
+        assert inside and set(map(tuple, inside)) <= kept | negated
+
+
+@pytest.mark.parametrize("word", [(9, 1, 0), (20, 3, 1)])
+def test_moments_at_deep_transformed_points_match_the_mp_oracle(word):
+    # value, t1, t2 and t4 within the certified bound of their weight plus
+    # the rounding of the terms; one even and one odd characteristic
+    pt = _transformed(*word)
+    radius = math.ceil(math.sqrt(40.0 * np.linalg.inv(pt.tau.imag).diagonal().max())) + 1
+    monomials = _monomials(2, 4)
+    for a in (Characteristic(2, (0, 1), (1, 0)), Characteristic(2, (1, 0), (1, 0))):
+        mom = batch_moments([a], pt, 1e-14, order=4)[a]
+        got = {(): mom.value, **{(j,): mom.t1[j] for j in range(2)},
+               **{mono: (mom.t2 if len(mono) == 2 else mom.t4)[mono] for mono in monomials if len(mono) > 1}}
+        ref = mp_theta_moments(a.a_prime, a.a_double_prime, pt.tau.tolist(), monomials, radius)
+        for mono, (value, size) in ref.items():
+            bound = mom.tail_bound if not mono else 1e-14
+            assert abs(got[mono] - value) <= bound + 64 * 2.0**-53 * size, mono
 
 
 @pytest.mark.parametrize("genus, lam", [(2, 0.02), (3, 0.3)])
@@ -717,7 +850,7 @@ def test_deep_boxes_sum_by_the_tree_with_the_bits_of_fsum(genus, lam, monkeypatc
     pt = SiegelPoint(genus, pt.tau.real + 1j * (lam / pt.lambda_min) * pt.tau.imag)
     z = np.random.default_rng(70 + genus).uniform(-0.3, 0.3, genus) + 0.1j
     chars = enumerate_characteristics(genus)[:: 2 ** genus - 1]  # both parities, three cosets
-    _assert_full_box_bits(pt, chars, (4,), (None, z))
+    _assert_reference_bits(pt, chars, (4,), (None, z))
     tree = sum(size for size in sizes if size >= kernel._TREE_MIN_TERMS)
     assert tree >= 0.9 * sum(sizes)
 
@@ -846,7 +979,7 @@ def test_every_sum_keeps_its_bits_when_no_class_combination_is_certified(genus, 
     pt = _random_point(genus, 110 + genus)
     z = np.random.default_rng(genus).uniform(-0.3, 0.3, genus) + 0.1j
     for chars in (enumerate_characteristics(genus), _mixed(genus)):
-        _assert_full_box_bits(pt, chars, (1, 2, 4), (None, np.zeros(genus), z))
+        _assert_reference_bits(pt, chars, (1, 2, 4), (None, np.zeros(genus), z))
     assert counts["sums"] > 0 and counts["certified"] == 0
 
 
@@ -866,7 +999,7 @@ def test_a_full_coset_at_a_shallow_genus3_point_forms_no_row_per_characteristic(
     assert phases == [] and counts["sums"] == counts["certified"] > 0
     for a in coset:
         mom = moments[a]
-        ref = _full_box_sums(a, None, pt, mom.radius, _monomials(3, 4))
+        ref = _ellipsoid_sums(a, pt, dict.fromkeys(range(5), 1e-14), _monomials(3, 4))
         t4 = [ref[tuple(sorted(key))] for key in itertools.product(range(3), repeat=4)]
         assert _hex([mom.value, *mom.t1]) == _hex([ref[()]] + [ref[(j,)] for j in range(3)])
         assert _hex(mom.t4) == _hex(t4)
@@ -911,7 +1044,7 @@ def test_a_group_of_classed_and_one_class_cosets_keeps_every_bit(genus, monkeypa
         assert len(set(phased)) == len(phased)
         assert batch == {a: _call_hex([a], zz, pt, order)[a] for a in mixed}
     assert 0 < classed and len(phased) > 0
-    _assert_full_box_bits(pt, mixed, (1, 2, 4), (None, z))
+    _assert_reference_bits(pt, mixed, (1, 2, 4), (None, z))
 
 
 @pytest.mark.parametrize("genus", [2, 3])
@@ -922,7 +1055,7 @@ def test_exact_zero_sums_fall_back_and_keep_the_sign_fsum_gives(genus, monkeypat
     counts = _certified_counts(monkeypatch)
     pt = _random_point(genus, 140 + genus)
     pt = SiegelPoint(genus, 1j * pt.tau.imag)
-    _assert_full_box_bits(pt, enumerate_characteristics(genus), (1, 2, 4),
+    _assert_reference_bits(pt, enumerate_characteristics(genus), (1, 2, 4),
                           (None, np.zeros(genus), np.full(genus, 0.1)))
     assert counts["sums"] > 0 and counts["certified"] == 0
 
@@ -945,19 +1078,25 @@ def test_class_combination_refuses_a_sum_its_class_bounds_leave_open():
 
 
 def test_refused_last_coset_builds_no_lattice(monkeypatch):
-    # at Im tau = 0.0101 I the cosets a' = 0 and a' = (0, 0, 1) certify at
-    # radius 50, boxes of about 101^3 points under the 2^20 budget, each
-    # a group of its own, and a' = (0, 1, 1) needs a larger box: the call
-    # is refused before any lattice is built
-    pt = SiegelPoint(3, 0.0101j * np.eye(3))
+    # at Im tau = 0.00498 I and a small z the cosets a' = 0 and
+    # a' = (0, 0, 1) certify at radius 50, boxes of about 101^3 points
+    # under the 2^20 budget, each a group of its own, and a' = (0, 1, 1)
+    # needs a larger box: the call is refused before any lattice is
+    # built.  Without z the ellipsoid of every coset is counted before
+    # any point is built
+    pt = SiegelPoint(3, 0.00498j * np.eye(3))
+    z = np.full(3, 1e-3j)
     chars = [Characteristic(3, a_prime, (0, 0, 0))
              for a_prime in ((0, 0, 0), (0, 0, 1), (0, 1, 1))]
     for a in chars[:2]:
-        assert _radius_scan(pt, None, a.a_prime, {0: 1e-14, 1: 1e-14})[0] == 50
+        assert _radius_scan(pt, z, a.a_prime, {0: 1e-14})[0] == 50
     built = []
     monkeypatch.setattr(kernel, "_lattice_two_m", lambda *args: built.append(args))
+    monkeypatch.setattr(kernel._Ellipsoid, "points", lambda *args: built.append(args))
     with pytest.raises(TruncationError, match="lattice points"):
-        batch_moments(chars, pt, 1e-14, order=1)
+        theta_values(chars, z, pt, 1e-14)
+    with pytest.raises(TruncationError, match="lattice points"):
+        batch_moments(chars, SiegelPoint(3, 0.003j * np.eye(3)), 1e-14, order=1)
     assert built == []
 
 

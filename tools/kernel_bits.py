@@ -27,13 +27,16 @@ and writes, for every characteristic:
 - truncation_radius for weights 0, 1, 2 and 4 at both z, for the
   characteristic and for no characteristic.
 Each line is one output: its labels, then float.hex of every real and
-imaginary part, so signed zeros count.  A run takes a few seconds.
+imaginary part, so signed zeros count.  The points are built from the
+seed in exact rational arithmetic and rounded once per entry, so they do
+not depend on the BLAS.  A run takes a few seconds.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 DEPTHS = {1: (0.8, 0.01), 2: (0.8, 0.02), 3: (0.8, 0.3)}  # lambda_min, shallow and deep
@@ -44,13 +47,37 @@ def _hex(values) -> str:
     return " ".join(f"{complex(v).real.hex()},{complex(v).imag.hex()}" for v in values)
 
 
+def _solve(a: list, b: list) -> list:
+    """a^-1 b for square matrices of Fractions, by Gauss-Jordan elimination
+    (a is invertible with non-zero leading minors here)."""
+    n = len(a)
+    rows = [list(a[i]) + list(b[i]) for i in range(n)]
+    for i in range(n):
+        rows[i] = [v / rows[i][i] for v in rows[i]]
+        for k in range(n):
+            if k != i:
+                rows[k] = [vk - rows[k][i] * vi for vk, vi in zip(rows[k], rows[i])]
+    return [row[n:] for row in rows]
+
+
 def _point(np, SiegelPoint, genus: int, lam: float, rng):
     """tau with Re tau in [-1, 1], Im tau = Q diag(eigenvalues) Q^t, the
-    eigenvalues running from lam towards 2, Q drawn from the seed."""
+    eigenvalues running from lam towards 2, Q drawn from the seed.
+
+    Q = (I + S)^-1 (I - S) is the Cayley transform of a skew-symmetric S
+    with entries in [-1, 1] that are multiples of 2^-10, so it is
+    orthogonal and rational; Im tau is formed exactly in Fractions and
+    rounded once per entry."""
     x = rng.uniform(-1, 1, (genus, genus))
-    q, _ = np.linalg.qr(rng.normal(size=(genus, genus)))
-    eig = lam + (2.0 - lam) * np.arange(genus) / genus
-    return SiegelPoint(genus, (x + x.T) / 2 + 1j * (q * eig) @ q.T)
+    s = np.triu(np.round(rng.uniform(-1, 1, (genus, genus)) * 1024), 1)
+    s = [[Fraction(int(v), 1024) for v in row] for row in (s - s.T).tolist()]
+    eye = [[Fraction(int(i == j)) for j in range(genus)] for i in range(genus)]
+    q = _solve([[eye[i][j] + s[i][j] for j in range(genus)] for i in range(genus)],
+               [[eye[i][j] - s[i][j] for j in range(genus)] for i in range(genus)])
+    eig = [Fraction(lam) + (2 - Fraction(lam)) * Fraction(k, genus) for k in range(genus)]
+    y = [[float(sum(q[j][k] * eig[k] * q[l][k] for k in range(genus))) for l in range(genus)]
+         for j in range(genus)]
+    return SiegelPoint(genus, (x + x.T) / 2 + 1j * np.array(y))
 
 
 def dump(root: Path, seed: int):
