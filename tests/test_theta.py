@@ -810,7 +810,8 @@ def test_ellipsoid_enumerates_every_point_of_exact_q_within_r2_once_in_class_ord
         assert any(a_prime) or tuple(half[0]) == origin
         # the kept points and their negatives are the brute-force filter
         box = _lattice_two_m(a_prime, ball.radius + 2)
-        assert kept | negated == set(map(tuple, box[kernel._quadratic(ball.y, list(box.T / 2.0)) <= ball.limit].tolist()))
+        passed = box[kernel._quadratic(ball.y, list(box.T / 2.0)) <= ball.limit]
+        assert kept | negated == set(map(tuple, passed.tolist()))
         # and hold every point of exact q <= r2 (a float q above 1.01 r2
         # is far from it)
         m = box / 2.0
