@@ -212,14 +212,8 @@ def _tail_product(axis: _AxisSums, lam: float, shifts, nrad: int) -> float:
         tails.append(t)
     # prod(S+T) - prod(S), telescoped to avoid catastrophic cancellation
     diff = 0.0
-    g = len(sums)
-    for j in range(g):
-        part = tails[j]
-        for k in range(j):
-            part *= sums[k] + tails[k]
-        for k in range(j + 1, g):
-            part *= sums[k]
-        diff += part
+    for j, tail in enumerate(tails):
+        diff += math.prod([tail] + [s + t for s, t in zip(sums[:j], tails[:j])] + sums[j + 1:])
     return diff
 
 
@@ -416,31 +410,40 @@ class _Ellipsoid:
     pair m, -m, in parity-class order.
 
     r2 and bounds are _ellipsoid_radius2's, limit = r2 (1 + delta),
-    delta = 10^-9 + 8 (g + 1) u tr(Y) / lam, and radius, the half-width
-    of the box enclosing the ellipsoid, is at most _MAX_RADIUS.  The test
-    is conservative, every m with exact q(m) <= r2 passes it: for exact
-    m_j, |fl(q) - q| <= gamma_{2g} |m|^t |Y| |m| (Higham, "Accuracy and
-    Stability of Numerical Algorithms", 2002, sec. 3.1), and
-    |m|^t |Y| |m| <= (sum_j sqrt(Y_jj) |m_j|)^2 <= tr(Y) |m|^2
-    <= tr(Y) q / lam, so fl(q) <= r2 (1 + 2 (g + 1) u tr(Y) / lam) < limit.
-
-    Candidates come from the Fincke-Pohst bounds (Math. Comp. 44, 1985)
-    in doubled coordinates T = 2m: with Y = L D L^t (_ldl),
-    q = sum_i (d_i / 4) (T_i + C_i)^2, C_i = sum_{j>i} L_ji T_j, so
-    |T_i + C_i| <= H_i = sqrt(4 rem_i / d_i), rem_i being B less the terms
-    above i.  B = limit (1 + 4 delta) and each interval is widened by
-    (2^-20 + delta)(1 + |C_i| + H_i): a point with fl(q) <= limit has
-    q < limit (1 + 2 delta), and the factorization and the interval
-    arithmetic err by a few delta in that scale (tests check every point
-    of exact q <= r2 with rationals, at lam down to 5e-3).  The rows
-    start as the (coset, class) pairs, class c = n mod 2 read in binary
-    with n_1 high, so T_i runs over 4k + 2 c_i + a'_i; each level expands
-    every row at once, T_g first, keeping their order.  The fold takes
-    the top coordinate >= 0, and so each coordinate whose coordinates
-    above are all 0: one of each pair, and the origin (first in its
-    coset) once; the test is even in m.  Each coset's ellipsoid (twice
-    its half, less the origin) and every level's rows are counted before
-    a point is built; above _MAX_BOX_POINTS, TruncationError.
+    delta = 10^-9 + 8 (g + 1) u k with k = tr(Y) / lam >= g, and radius,
+    the half-width of the box enclosing the ellipsoid, is at most
+    _MAX_RADIUS.  Candidates come from Fincke-Pohst bounds (Math. Comp.
+    44, 1985) in doubled coordinates T = 2m, on Y' = L D L^t, the exact
+    product of _ldl's factors (d_i > 0): q'(m) = sum_i (d_i/4)(T_i + C_i)^2,
+    C_i = sum_{j>i} L_ji T_j, so level i takes |T_i + C_i| <= H_i =
+    sqrt(4 rem_i / d_i), rem_i = B - sum_{j>i} (d_j/4)(T_j + C_j)^2,
+    B = limit (1 + 4 delta).  Every m of exact q(m) <= r2 is summed, for
+    g <= 3 and k < 10^19 (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2002, secs. 3.1 and 10.1; gamma_n = n u / (1 - n u); lam
+    is taken as lambda_min(Y), as the bound takes it):
+    - it is a candidate.  |Y' - Y| <= gamma_{g+2} |L| D |L|^t, whose
+      entries are at most sqrt(Y'_jj Y'_ll) (Cauchy-Schwarz), so
+      q'(m) <= q (1 + (g + 3) u k) <= r2 (1 + delta), and each rem_i
+      exceeds (d_i/4)(T_i + C_i)^2 by at least 4 delta r2.  The computed
+      C_i errs by at most gamma_g sum_j |L_ji T_j| <= gamma_g |T|
+      sqrt(tr(Y') / d_i) <= e_i = 4 (g + 1) u sqrt(k B / d_i), as
+      L_ji^2 d_i <= Y'_jj and |T|^2 <= 4 q / lam.  So each term
+      (d_j/4)(T_j + C_j)^2 <= B errs by at most u B (3 g sqrt(k) + 6), the
+      computed rem_i by less than 4 delta r2, the computed H_i is at least
+      |T_i + C_i| (1 - 3u), and the interval -C_i +- H_i, widened by e_i
+      and by (2^-20 + delta)(1 + |C_i| + H_i) for the rounding of its
+      ends, holds T_i;
+    - it passes the test: |fl(q) - q| <= gamma_2g |m|^t |Y| |m|, and
+      |m|^t |Y| |m| <= (sum_j sqrt(Y_jj) |m_j|)^2 <= tr(Y) |m|^2 <= k q,
+      so fl(q) <= r2 (1 + 2 (g + 1) u k) < limit.
+    The rows start as the (coset, class) pairs, class c = n mod 2 read in
+    binary with n_1 high, so T_i runs over 4k + 2 c_i + a'_i; each level
+    expands every row at once, T_g first, keeping their order.  The fold
+    takes the top coordinate >= 0, and so each coordinate whose
+    coordinates above are all 0: one of each pair, and the origin (first
+    in its coset) once; the test is even in m.  Each coset's ellipsoid
+    (twice its half, less the origin) and every level's rows are counted
+    before a point is built; above _MAX_BOX_POINTS, TruncationError.
     """
 
     def __init__(self, tau: SiegelPoint, eps_by_weight: dict, a_primes: list):
@@ -448,7 +451,8 @@ class _Ellipsoid:
         lam = _checked_lambda(tau, eps_by_weight)
         self.r2, self.bounds = _ellipsoid_radius2(genus, lam, eps_by_weight)
         self.y = y = tau.tau.imag.tolist()
-        delta = 1e-9 + 8 * (genus + 1) * _U * sum(y[j][j] for j in range(genus)) / lam
+        kappa = sum(y[j][j] for j in range(genus)) / lam
+        delta = 1e-9 + 8 * (genus + 1) * _U * kappa
         self.limit = self.r2 * (1.0 + delta)
         budget = self.limit * (1.0 + 4.0 * delta)
         d, l, inverse = _ldl(y)
@@ -460,13 +464,13 @@ class _Ellipsoid:
         origin = np.arange(classes * len(a_primes))  # the (coset, class) row each row comes from
         bits = (origin % classes >> np.arange(genus - 1, -1, -1)[:, None]) & 1
         shift = 2 * bits + np.array(a_primes, dtype=np.int64).T[:, origin // classes] % 2  # T mod 4
-        rem, zero, fixed = budget, None, {}
+        rem, zero, fixed, err = budget, None, {}, 4 * (genus + 1) * _U * math.sqrt(kappa * budget)
         for i in range(genus - 1, -1, -1):
             shift_i, centre = shift[i, origin], 0.0
             for j in range(i + 1, genus):  # C_i, from the left
                 centre = centre + l[j][i] * fixed[j]
             h = np.sqrt(np.maximum(rem, 0.0) * (4.0 / d[i]))
-            pad = (2.0**-20 + delta) * (1.0 + np.abs(centre) + h)
+            pad = (2.0**-20 + delta) * (1.0 + np.abs(centre) + h) + err / math.sqrt(d[i])  # + e_i
             lo = -centre - h - pad
             lo = np.maximum(lo, 0.0) if zero is None else np.where(zero, np.maximum(lo, 0.0), lo)
             first = np.ceil((lo - shift_i) / 4.0)
@@ -562,8 +566,7 @@ def _nonzero_z(z, genus: int):
 
 def _phase_factors(two_m: np.ndarray, a_double_prime) -> np.ndarray:
     """i^((2m).a'' mod 4); exactly one of {1, i, -1, -i} per point."""
-    p = (two_m @ np.asarray(a_double_prime, dtype=np.int64)) % 4
-    return _PHASES[p]
+    return _PHASES[(two_m @ np.asarray(a_double_prime, dtype=np.int64)) % 4]
 
 
 @lru_cache(maxsize=None)
@@ -576,10 +579,7 @@ def _basis(genus: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     row = {key: i for i, key in enumerate(keys)}
     index = [row[tuple(sorted(t))] for t in itertools.product(range(genus), repeat=degree)]
     keys = np.array(keys, dtype=np.intp).reshape(len(keys), degree)
-    index = np.array(index).reshape((genus,) * degree)
-    keys.setflags(write=False)
-    index.setflags(write=False)
-    return keys, index
+    return _frozen(keys), _frozen(np.array(index).reshape((genus,) * degree))
 
 
 def _in_range(block: np.ndarray) -> bool:
@@ -622,8 +622,7 @@ def _two_sum_tree(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     rows, n = block.shape
     x = block
-    sigma = np.zeros(rows)
-    mag = np.zeros(rows)
+    sigma, mag = np.zeros(rows), np.zeros(rows)
     while x.shape[1] > 1:
         h = x.shape[1] // 2
         a, b = x[:, :h], x[:, h:2 * h]
@@ -956,10 +955,12 @@ def _group_sums(group, lattice, z, tau: SiegelPoint, degrees, fold: bool):
     # the sums' values, from the class combination or from own rows
     summed = [_coset_sums(tuple(coset), tuple(degrees), fold) for coset, *_ in group]
     plans = [_coset_plan(tuple(coset), tuple(degrees), fold) for coset, *_ in group]
-    values = [[None] * len(sums) for _, sums in summed]
+    # a coset with no point (a' != 0, a small ellipsoid) sums nothing: fsum's +0.0
+    empty = {i for i, (s, e) in enumerate(spans) if s == e}
+    values = [[0j if i in empty else None] * len(sums) for i, (_, sums) in enumerate(summed)]
     # (coset, the numbers of its sums formed from their own rows)
-    own = [(i, range(len(sums))) for i, (_, sums) in enumerate(summed) if plans[i] is None]
-    classed = [i for i, plan in enumerate(plans) if plan]
+    own = [(i, range(len(sums))) for i, (_, sums) in enumerate(summed) if plans[i] is None and i not in empty]
+    classed = [i for i, plan in enumerate(plans) if plan and i not in empty]
     if classed:
         # each classed coset's points by class, padded to the group's
         # largest class with a zero term
@@ -1019,9 +1020,8 @@ def _group_sums(group, lattice, z, tau: SiegelPoint, degrees, fold: bool):
                     monomials = _monomials(genus, k)
                     yield from weighted(slice(s, e), [monomials[j] for *_, j in of_k], t)
 
-    redone = []
-    width = max(e - s for s, e in spans)
-    for block in _block_sums(own_rows(), sum(len(numbers) for _, numbers in own), width):
+    redone, width = [], max(e - s for s, e in spans)
+    for block in _block_sums(own_rows(), sum(len(numbers) for _, numbers in own), width) if own else ():
         flat = _row_sums(block)
         redone.extend(map(complex, flat[:len(flat) // 2], flat[len(flat) // 2:]))
     redone = iter(redone)

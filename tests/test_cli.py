@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -39,6 +40,15 @@ def test_eval_json_shape(capsys):
     assert set(payload) == {"value", "grad", "hess", "tail_bound"}
     assert abs(payload["value"][0] - 1.0864348112133080) < 1e-12
     assert payload["value"][1] == 0.0
+
+
+def test_eval_of_a_coset_with_no_point_in_the_ellipsoid(capsys):
+    # at tau = 50i no m = n + 1/2 lies in the z = 0 ellipsoid
+    code, out, _ = run_main(capsys, "eval", "--char", "(1;0)", "--tau", "[[[0,50]]]")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == [0.0, 0.0]
+    assert 2.0 * math.exp(-12.5 * math.pi) <= payload["tail_bound"]
 
 
 def test_eval_with_z_and_genus2_label(capsys):

@@ -821,6 +821,62 @@ def test_ellipsoid_enumerates_every_point_of_exact_q_within_r2_once_in_class_ord
         assert inside and set(map(tuple, inside)) <= kept | negated
 
 
+def _drawn_points(genus, seed):
+    """Every act(gamma, tau) the transformation check draws for
+    SamplePlan(seed, count=3), its words resampled as it resamples them."""
+    plan = SamplePlan(seed=seed, count=3)
+    taus, gammas, attempt = plan.tau_points(genus), [], 0
+    while len(gammas) < 10:
+        gamma = random_gamma_48(plan.seed * 1000 + attempt, 1 + len(gammas) % 3, genus)
+        attempt += 1
+        if all(act(gamma, t).lambda_min > 5e-3 for t in taus):
+            gammas.append(gamma)
+    return [act(gamma, t) for gamma in gammas for t in taus]
+
+
+def _ill_conditioned(genus, eigenvalues, seed):
+    """A tau whose Im tau has the given eigenvalues in a seeded rotation."""
+    q = np.linalg.qr(np.random.default_rng(seed).normal(size=(genus, genus)))[0]
+    return SiegelPoint(genus, 0.3 + 1j * (q * eigenvalues) @ q.T)
+
+
+@pytest.mark.parametrize("genus, seed", [(2, 0), (2, 4), (3, 0)])
+def test_ellipsoid_counts_every_point_of_the_filter_at_drawn_and_ill_conditioned_points(genus, seed):
+    # each coset sums (twice its kept half, less the origin) exactly the
+    # points of a box past the enclosing one that pass fl(q) <= limit: at
+    # every transformed point the check draws (genus 3: the three worst
+    # conditioned of them) and at tr(Im tau) / lambda_min up to 10^6
+    points = _drawn_points(genus, seed)
+    points = sorted(points, key=lambda pt: -np.trace(pt.tau.imag) / pt.lambda_min)[:3 if genus == 3 else None]
+    points += [_ill_conditioned(genus, lams, seed) for lams in
+               (np.geomspace(0.01, 1e4, genus), np.geomspace(5e-3, 10.0, genus))]
+    a_primes = list(itertools.product((0, 1), repeat=genus))
+    for pt in points:
+        ball = kernel._Ellipsoid(pt, dict.fromkeys(range(3), 1e-14), a_primes)
+        sizes = ball.points(0, len(a_primes))[2].sum(axis=1)
+        for a_prime, size in zip(a_primes, sizes.tolist()):
+            box = _lattice_two_m(a_prime, ball.radius + 2)
+            passed = int((kernel._quadratic(ball.y, list(box.T / 2.0)) <= ball.limit).sum())
+            assert 2 * size - (not any(a_prime)) == passed
+
+
+@pytest.mark.parametrize("a", [Characteristic(1, (1,), (0,)), Characteristic(1, (1,), (1,))])
+def test_a_coset_with_no_point_in_the_ellipsoid_sums_to_zero(a):
+    # at Im tau = 50 r2 is about 12 and the nearest m = 1/2 has q = 12.5:
+    # no point is summed, every sum is fsum's +0.0 of no term, and the
+    # true value (2 exp(-12.5 pi) for a'' = 0) is within the bound
+    pt = SiegelPoint(1, [[50j]])
+    true = 2.0 * math.exp(-12.5 * math.pi) if not any(a.a_double_prime) else 0.0
+    jets = [theta_jet(a, z, pt) for z in (None, np.zeros(1))]
+    values = [theta_values([a], z, pt)[a] for z in (None, np.zeros(1))]
+    moments = batch_moments([a], pt, order=4)[a]
+    for got in [jet.value for jet in jets] + values + [moments.value]:
+        assert _hex(got) == _hex(0j)
+    assert _hex(np.concatenate([moments.t1, moments.t2.ravel(), moments.t4.ravel()])) == _hex([0j] * 3)
+    assert all(true <= bound for bound in [jet.tail_bound for jet in jets] + [moments.tail_bound])
+    assert not any(kernel._Ellipsoid(pt, {0: 1e-14}, [a.a_prime]).counts)
+
+
 @pytest.mark.parametrize("word", [(9, 1, 0), (20, 3, 1)])
 def test_moments_at_deep_transformed_points_match_the_mp_oracle(word):
     # value, t1, t2 and t4 within the certified bound of their weight plus
