@@ -413,37 +413,36 @@ class _Ellipsoid:
     delta = 10^-9 + 8 (g + 1) u k with k = tr(Y) / lam >= g, and radius,
     the half-width of the box enclosing the ellipsoid, is at most
     _MAX_RADIUS.  Candidates come from Fincke-Pohst bounds (Math. Comp.
-    44, 1985) in doubled coordinates T = 2m, on Y' = L D L^t, the exact
+    44, 1985) in doubled coordinates T = 2m on Y' = L D L^t, the exact
     product of _ldl's factors (d_i > 0): q'(m) = sum_i (d_i/4)(T_i + C_i)^2,
-    C_i = sum_{j>i} L_ji T_j, so level i takes |T_i + C_i| <= H_i =
+    C_i = sum_{j>i} L_ji T_j, and level i takes |T_i + C_i| <= H_i =
     sqrt(4 rem_i / d_i), rem_i = B - sum_{j>i} (d_j/4)(T_j + C_j)^2,
     B = limit (1 + 4 delta).  Every m of exact q(m) <= r2 is summed, for
     g <= 3 and k < 10^19 (Higham, "Accuracy and Stability of Numerical
     Algorithms", 2002, secs. 3.1 and 10.1; gamma_n = n u / (1 - n u); lam
-    is taken as lambda_min(Y), as the bound takes it):
-    - it is a candidate.  |Y' - Y| <= gamma_{g+2} |L| D |L|^t, whose
-      entries are at most sqrt(Y'_jj Y'_ll) (Cauchy-Schwarz), so
-      q'(m) <= q (1 + (g + 3) u k) <= r2 (1 + delta), and each rem_i
-      exceeds (d_i/4)(T_i + C_i)^2 by at least 4 delta r2.  The computed
-      C_i errs by at most gamma_g sum_j |L_ji T_j| <= gamma_g |T|
-      sqrt(tr(Y') / d_i) <= e_i = 4 (g + 1) u sqrt(k B / d_i), as
-      L_ji^2 d_i <= Y'_jj and |T|^2 <= 4 q / lam.  So each term
-      (d_j/4)(T_j + C_j)^2 <= B errs by at most u B (3 g sqrt(k) + 6), the
-      computed rem_i by less than 4 delta r2, the computed H_i is at least
-      |T_i + C_i| (1 - 3u), and the interval -C_i +- H_i, widened by e_i
-      and by (2^-20 + delta)(1 + |C_i| + H_i) for the rounding of its
-      ends, holds T_i;
+    taken as lambda_min(Y), as in the bound):
+    - it is a candidate.  |Y' - Y| <= gamma_{g+2} |L| D |L|^t, whose entries
+      are at most sqrt(Y'_jj Y'_ll) (Cauchy-Schwarz), so q'(m) <= r2 (1 + delta)
+      as q'(m) <= q (1 + (g + 3) u k), and each rem_i exceeds
+      (d_i/4)(T_i + C_i)^2 by at least 4 delta r2.  The computed C_i errs by
+      at most gamma_g sum_j |L_ji T_j| <= gamma_g |T| sqrt(tr(Y') / d_i)
+      <= e_i = 4 (g + 1) u sqrt(k B / d_i), as L_ji^2 d_i <= Y'_jj and
+      |T|^2 <= 4 q / lam.  So each term (d_j/4)(T_j + C_j)^2 <= B errs by at
+      most u B (3 g sqrt(k) + 6), the computed rem_i by less than
+      4 delta r2, the computed H_i is at least |T_i + C_i| (1 - 3u), and the
+      interval -C_i +- H_i, widened by e_i and by (2^-20 + delta) times
+      1 + |C_i| + H_i for the rounding of its ends, holds T_i;
     - it passes the test: |fl(q) - q| <= gamma_2g |m|^t |Y| |m|, and
       |m|^t |Y| |m| <= (sum_j sqrt(Y_jj) |m_j|)^2 <= tr(Y) |m|^2 <= k q,
       so fl(q) <= r2 (1 + 2 (g + 1) u k) < limit.
     The rows start as the (coset, class) pairs, class c = n mod 2 read in
     binary with n_1 high, so T_i runs over 4k + 2 c_i + a'_i; each level
     expands every row at once, T_g first, keeping their order.  The fold
-    takes the top coordinate >= 0, and so each coordinate whose
-    coordinates above are all 0: one of each pair, and the origin (first
-    in its coset) once; the test is even in m.  Each coset's ellipsoid
-    (twice its half, less the origin) and every level's rows are counted
-    before a point is built; above _MAX_BOX_POINTS, TruncationError.
+    takes the top coordinate >= 0, and so each one whose coordinates above
+    are 0: one of each pair, the origin (first in its coset) once; the
+    test is even in m.  Each coset's ellipsoid (twice its half, less the
+    origin) and every level's rows are counted before a point is built;
+    above _MAX_BOX_POINTS, TruncationError.
     """
 
     def __init__(self, tau: SiegelPoint, eps_by_weight: dict, a_primes: list):
@@ -566,7 +565,8 @@ def _nonzero_z(z, genus: int):
 
 def _phase_factors(two_m: np.ndarray, a_double_prime) -> np.ndarray:
     """i^((2m).a'' mod 4); exactly one of {1, i, -1, -i} per point."""
-    return _PHASES[(two_m @ np.asarray(a_double_prime, dtype=np.int64)) % 4]
+    p = (two_m @ np.asarray(a_double_prime, dtype=np.int64)) % 4
+    return _PHASES[p]
 
 
 @lru_cache(maxsize=None)
@@ -622,7 +622,8 @@ def _two_sum_tree(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     rows, n = block.shape
     x = block
-    sigma, mag = np.zeros(rows), np.zeros(rows)
+    sigma = np.zeros(rows)
+    mag = np.zeros(rows)
     while x.shape[1] > 1:
         h = x.shape[1] // 2
         a, b = x[:, :h], x[:, h:2 * h]
